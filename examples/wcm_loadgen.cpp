@@ -41,14 +41,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <fstream>
 #include <functional>
 #include <iostream>
-#include <limits>
-#include <map>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -58,6 +55,7 @@
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "util/check.hpp"
+#include "util/cli.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
 
@@ -119,61 +117,16 @@ std::string mix_request(Rng& rng, const std::string& tenant, u64 serial) {
   return os.str();
 }
 
-// ---- flag parsing ---------------------------------------------------------
+// ---- flags ----------------------------------------------------------------
 
-struct Args {
-  std::map<std::string, std::string> named;
-
-  [[nodiscard]] bool flag(const std::string& name) const {
-    return named.count("--" + name) > 0;
-  }
-  [[nodiscard]] std::string get(const std::string& name,
-                                const std::string& fallback) const {
-    const auto it = named.find("--" + name);
-    return it == named.end() ? fallback : it->second;
-  }
-  [[nodiscard]] u64 get_u64(const std::string& name, u64 fallback,
-                            u64 max = std::numeric_limits<u64>::max()) const {
-    const auto it = named.find("--" + name);
-    if (it == named.end()) {
-      return fallback;
-    }
-    u64 value = 0;
-    const std::string& text = it->second;
-    const auto [ptr, err] =
-        std::from_chars(text.data(), text.data() + text.size(), value);
-    if (text.empty() || err != std::errc() ||
-        ptr != text.data() + text.size() || value > max) {
-      throw parse_error("invalid value '" + text + "' for --" + name +
-                        " (expected an unsigned integer <= " +
-                        std::to_string(max) + ")");
-    }
-    return value;
-  }
-};
-
-Args parse(int argc, char** argv) {
-  static const std::vector<std::string> kKnown = {
-      "--socket",     "--script",     "--requests",    "--conns",
-      "--rate",       "--seed",       "--tenant",      "--spawn",
-      "--data-dir",   "--term-after", "--expect-daemon-exit",
-      "--drain",      "--require-counter", "--metrics-out", "--out",
-      "--help"};
-  Args args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string key = argv[i];
-    if (std::find(kKnown.begin(), kKnown.end(), key) == kKnown.end()) {
-      throw parse_error("unknown flag '" + key +
-                        "' (run 'wcm-loadgen --help' for the synopsis)");
-    }
-    if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      args.named[key] = argv[++i];
-    } else {
-      args.named[key] = "";
-    }
-  }
-  return args;
-}
+const std::vector<cli::Flag> kFlags = {
+    {"socket"},     {"script"},     {"requests"},
+    {"conns"},      {"rate"},       {"seed"},
+    {"tenant"},     {"spawn"},      {"data-dir"},
+    {"term-after"}, {"expect-daemon-exit"},
+    {"drain", false},
+    {"require-counter"},            {"metrics-out"},
+    {"out"}};
 
 // ---- response inspection --------------------------------------------------
 
@@ -247,7 +200,7 @@ struct Daemon {
 
 // ---- the two modes --------------------------------------------------------
 
-int run_script(const Args& a, const std::string& socket) {
+int run_script(const cli::Args& a, const std::string& socket) {
   const std::string script = a.get("script", "");
   std::ifstream in(script);
   if (!in) {
@@ -397,7 +350,7 @@ double percentile(std::vector<double>& sorted, double p) {
   return sorted[std::min(rank, sorted.size() - 1)];
 }
 
-int run_mix(const Args& a, const std::string& socket, Daemon* daemon) {
+int run_mix(const cli::Args& a, const std::string& socket, Daemon* daemon) {
   const u64 requests = a.get_u64("requests", 64, 1u << 20);
   const u64 conns = std::max<u64>(1, a.get_u64("conns", 4, 256));
   const u64 seed = a.get_u64("seed", 1);
@@ -564,14 +517,14 @@ int run_mix(const Args& a, const std::string& socket, Daemon* daemon) {
 }
 
 int run(int argc, char** argv) {
-  const Args a = parse(argc, argv);
-  if (a.flag("help")) {
+  const cli::Args a(cli::tokens(argc, argv, 1), kFlags, "wcm-loadgen");
+  if (a.has("help")) {
     std::cout << kUsage;
     return 0;
   }
   const std::string socket = a.get("socket", "@wcmd");
-  const bool script_mode = a.flag("script");
-  if (!script_mode && !a.flag("requests")) {
+  const bool script_mode = a.has("script");
+  if (!script_mode && !a.has("requests")) {
     throw parse_error("one of --script or --requests is required");
   }
 
@@ -593,7 +546,7 @@ int run(int argc, char** argv) {
     throw;
   }
 
-  if (a.flag("drain") && a.get_u64("term-after", 0) == 0) {
+  if (a.has("drain") && a.get_u64("term-after", 0) == 0) {
     try {
       serve::Client admin(socket);
       (void)admin.roundtrip(R"({"op":"drain"})");

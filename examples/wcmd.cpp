@@ -1,140 +1,10 @@
-// wcmd — the standalone adversarial-input daemon (docs/SERVE.md).
+// wcmd — the standalone adversarial-input daemon (docs/SERVE.md); the same
+// serve entry as `wcmgen serve`.
 //
 //   wcmd [--socket path|@name] [--data-dir dir] [--threads n]
-//        [--queue-max n] [--batch-max n] [--max-connections n] [--quiet]
-//
-// Identical to `wcmgen serve`: accept line-delimited strict-JSON requests
-// over a Unix-domain socket, coalesce identical in-flight requests,
-// batch them into scheduler job graphs, and answer through the
-// multi-tenant WCMS response cache.  SIGINT/SIGTERM drain gracefully:
-// every request already read is answered before the process exits.
-//
-// Exit codes: 0 clean drain, 2 usage error, 3 socket/file error,
-// 5 drain invariant violated (a read request was never answered).
-
-#include <charconv>
-#include <iostream>
-#include <limits>
-#include <string>
+//        [--queue-max n] [--batch-max n] [--max-connections n]
+//        [--eventlog file.jsonl] [--quiet]
 
 #include "serve/server.hpp"
-#include "telemetry/eventlog.hpp"
-#include "telemetry/span.hpp"
-#include "util/error.hpp"
-#include "util/failpoint.hpp"
-#include "util/version.hpp"
 
-namespace {
-
-using namespace wcm;
-
-constexpr const char* kUsage =
-    R"(wcmd — long-running adversarial-input daemon (docs/SERVE.md)
-
-usage: wcmd [--socket path|@name] [--data-dir dir] [--threads n]
-            [--queue-max n] [--batch-max n] [--max-connections n]
-            [--eventlog file.jsonl] [--quiet]
-
-  --socket           Unix-domain socket to serve on; a leading '@' selects
-                     the Linux abstract namespace (default @wcmd)
-  --data-dir         durable state: WCMS response cache + campaign
-                     journals (default: in-memory only)
-  --threads          scheduler workers (default WCM_THREADS, else 1)
-  --queue-max        admission queue bound before load-shedding (256)
-  --batch-max        max requests per scheduler batch (16)
-  --max-connections  concurrent client bound before load-shedding (64)
-  --eventlog         append structured JSONL request events with
-                     correlation ids (also WCM_EVENTLOG;
-                     docs/TELEMETRY.md "Request tracing")
-  --quiet            suppress startup/drain log lines
-
-SIGINT/SIGTERM drain gracefully.  Exit codes: 0 clean drain, 2 usage,
-3 socket error, 5 drain invariant violated.
-)";
-
-u64 flag_u64(const std::string& flag, const std::string& text, u64 max) {
-  u64 value = 0;
-  const auto [ptr, err] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (text.empty() || err != std::errc() ||
-      ptr != text.data() + text.size() || value > max) {
-    throw parse_error("invalid value '" + text + "' for " + flag +
-                      " (expected an unsigned integer <= " +
-                      std::to_string(max) + ")");
-  }
-  return value;
-}
-
-int run(int argc, char** argv) {
-  failpoint::configure_from_env();
-  serve::ServerConfig cfg;
-  bool quiet = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      std::cout << kUsage;
-      return 0;
-    }
-    if (arg == "--version" || arg == "-V") {
-      std::cout << "wcmd " << version_string() << " (" << build_describe()
-                << ")\n";
-      return 0;
-    }
-    if (arg == "--quiet") {
-      quiet = true;
-      continue;
-    }
-    const bool has_value = i + 1 < argc;
-    if (!has_value) {
-      throw parse_error("flag " + arg + " requires a value");
-    }
-    const std::string value = argv[++i];
-    if (arg == "--socket") {
-      cfg.socket = value;
-    } else if (arg == "--eventlog") {
-      telemetry::eventlog::set_path(value);
-    } else if (arg == "--data-dir") {
-      cfg.data_dir = value;
-    } else if (arg == "--threads") {
-      cfg.threads = static_cast<u32>(
-          flag_u64(arg, value, std::numeric_limits<std::uint32_t>::max()));
-    } else if (arg == "--queue-max") {
-      cfg.queue_max = flag_u64(arg, value, 1 << 20);
-    } else if (arg == "--batch-max") {
-      cfg.batch_max = flag_u64(arg, value, 1 << 20);
-    } else if (arg == "--max-connections") {
-      cfg.max_connections = flag_u64(arg, value, 1 << 20);
-    } else {
-      throw parse_error("unknown flag '" + arg +
-                        "' (run 'wcmd --help' for the synopsis)");
-    }
-  }
-  if (cfg.queue_max == 0 || cfg.batch_max == 0 || cfg.max_connections == 0) {
-    throw parse_error(
-        "--queue-max, --batch-max, and --max-connections must be >= 1");
-  }
-  serve::Server server(cfg);
-  return serve::run_server(server, quiet);
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  telemetry::configure_from_env();
-  telemetry::eventlog::configure_from_env();
-  int code = 0;
-  try {
-    code = run(argc, argv);
-  } catch (const parse_error& e) {
-    std::cerr << "usage error: " << e.what() << "\n";
-    code = 2;
-  } catch (const io_error& e) {
-    std::cerr << "socket error: " << e.what() << "\n";
-    code = 3;
-  } catch (const std::exception& e) {
-    std::cerr << "internal error: " << e.what() << "\n";
-    code = 5;
-  }
-  wcm::telemetry::flush_trace(&std::cerr);
-  return code;
-}
+int main(int argc, char** argv) { return wcm::serve::daemon_main(argc, argv); }

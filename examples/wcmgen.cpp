@@ -1,43 +1,15 @@
 // wcmgen — command-line front end for the library: generate, inspect, and
-// measure adversarial inputs without writing any C++.
+// measure adversarial inputs, prove and certify conflict bounds, lint
+// traces, run campaigns, and serve them all as the wcmd daemon, without
+// writing any C++.  `wcmgen --help` prints the synopsis (kUsage below).
 //
-//   wcmgen generate  --E 15 --b 512 [--k 8] [--seed S] [--strategy name]
-//                    [--intra] [--rounds m] [--out file.wcmi] [--csv]
-//   wcmgen evaluate  --E 15 [--w 32] [--side L|R] [--strategy name]
-//   wcmgen sort      --E 15 --b 512 [--k 6] [--input kind] [--device name]
-//                    [--library thrust|mgpu] [--padding p] [--layout kind]
-//                    [--seed S] [--json] [--trace-out file.wcmt]
-//                    [--algorithm pairwise|multiway|bitonic|radix|shearsort]
-//   wcmgen inspect   --in file.wcmi
-//   wcmgen analyze   --in file.wcmt [--json] [--pad p] [--layout kind]
-//                    [--no-cross-check]
-//   wcmgen prove     [--engine name|all] [--w n] [--b n] [--pad p]
-//                    [--layout kind] [--E-min n] [--E-max n] [--any-E]
-//                    [--ways k] [--digit-bits n] [--json]
-//                    [--certify [--bs n,n,...] [--pads n,n,...]]
-//   wcmgen verify    [--engine name|all] [--ws n,n,...] [--b n] [--pad p]
-//                    [--layout kind] [--E-min n] [--E-max n] [--odd-E]
-//                    [--ways k] [--digit-bits n] [--no-differential]
-//                    [--json]
-//   wcmgen visualize --E 7 [--w 16] [--strategy name]
-//   wcmgen campaign  spec.json [--threads n] [--no-cache] [--cache file]
-//                    [--out file.json] [--trace-dir dir] [--quiet]
-//                    [--journal file.wcmj] [--resume] [--retries n]
-//                    [--fail-fast]
-//   wcmgen profile   [--telemetry trace.json] [--metrics metrics.json]
-//                    (<any subcommand + its flags> |
-//                     --engine name --adversarial small-E|large-E [--k n])
-//   wcmgen serve     [--socket path|@name] [--data-dir dir] [--threads n]
-//                    [--queue-max n] [--batch-max n] [--max-connections n]
-//                    [--quiet]        (the wcmd daemon, docs/SERVE.md)
-//   wcmgen version   print the release version, the git describe the
-//                    binary was built from, and the cache salt (also
-//                    --version / -V)
+// Every subcommand is one row of the command table (commands()): its
+// declared flags and its handler.  The flags of the subcommands that
+// mirror a daemon op come from that op's param declaration
+// (serve/ops.hpp), and `serve` is the same entry wcmd runs.
 //
-// Every subcommand prints to stdout; `generate --out` additionally writes
-// the WCMI binary (plus .csv with --csv).
-//
-// Exit codes (documented in docs/API.md):
+// Exit codes (documented in docs/API.md), derived from
+// serve::error_type_of for failures:
 //   0 success
 //   1 findings reported (analyze, prove, and verify subcommands only)
 //   2 usage error (unknown subcommand/flag, unparseable or unknown value)
@@ -50,43 +22,34 @@
 // `serve` exits 0 after a clean drain (every request answered) and 5 when
 // the drain invariant is violated; socket errors map to 3 as usual.
 
-#include <charconv>
 #include <csignal>
-#include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <limits>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "analysis/json_export.hpp"
 #include "analyze/lint.hpp"
 #include "analyze/passes/verify.hpp"
-#include "analyze/symbolic/certify.hpp"
-#include "analyze/symbolic/prove.hpp"
-#include "gpusim/layout.hpp"
-#include "gpusim/trace.hpp"
-#include "analysis/series.hpp"
 #include "core/conflict_model.hpp"
-#include "core/generator.hpp"
+#include "gpusim/trace.hpp"
 #include "runtime/cache.hpp"
 #include "runtime/campaign.hpp"
-#include "runtime/scheduler.hpp"
 #include "serve/client.hpp"
+#include "serve/ops.hpp"
 #include "serve/server.hpp"
-#include "telemetry/eventlog.hpp"
-#include "util/json.hpp"
-#include "util/version.hpp"
 #include "sort/bitonic.hpp"
-#include "util/failpoint.hpp"
-#include "telemetry/registry.hpp"
-#include "telemetry/span.hpp"
 #include "sort/multiway.hpp"
 #include "sort/pairwise_sort.hpp"
 #include "sort/radix.hpp"
 #include "sort/shearsort.hpp"
+#include "telemetry/registry.hpp"
+#include "telemetry/span.hpp"
+#include "util/cli.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
+#include "util/table.hpp"
+#include "util/version.hpp"
 #include "workload/inputs.hpp"
 #include "workload/inversions.hpp"
 #include "workload/io.hpp"
@@ -102,12 +65,16 @@ usage: wcmgen <subcommand> [--flags]
 
 subcommands:
   generate   build a worst-case permutation
-             --E n --b n [--w n] [--padding n] [--k n] [--seed n]
+             --E n --b n [--w n] [--padding n]
+             [--layout linear|xor|rotation] [--k n] [--seed n]
              [--strategy front-to-back|back-to-front|outside-in]
              [--intra] [--rounds n] [--out file.wcmi] [--csv]
   evaluate   score one worst-case warp against the closed forms
              --E n [--w n] [--side L|R] [--strategy name]
-  sort       run a simulated sort and report conflicts/time
+  sort       run a simulated sort and report conflicts/time: a per-round
+             table of modeled time, beta1/beta2, replays, conflicts per
+             element, global transactions and search steps, then the
+             modeled-time split
              --E n --b n [--w n] [--padding n] [--k n] [--seed n]
              [--layout linear|xor|rotation]
              [--input random|sorted|reversed|nearly-sorted|worst-case]
@@ -117,13 +84,15 @@ subcommands:
              [--trace-out file.wcmt]
   inspect    validate and summarize a WCMI file
              --in file.wcmi
-  analyze    lint a recorded shared-memory trace (races, bounds, strides;
-             see docs/LINT.md) -- also available as the wcm-lint binary
-             --in file.wcmt [--json] [--pad n]
+  analyze    lint recorded shared-memory traces (races, bounds, strides;
+             see docs/LINT.md)
+             file.wcmt [more...] [--in file.wcmt] [--json] [--pad n]
              [--layout linear|xor|rotation] [--no-cross-check]
   prove      derive symbolic bank-conflict bounds for the sort engines,
              valid for every E in the declared range, without executing
              any trace; cross-checks Theorems 3 and 9 (docs/LINT.md).
+             --trace also certifies a recorded trace against the derived
+             bounds (needs a single --engine).
              --certify upgrades the bounds to a machine-checkable
              certificate over a (b, pad) grid: every statement proved
              conflict-free, or a DMM-replay-confirmed counterexample
@@ -131,7 +100,8 @@ subcommands:
               radix|scan|shearsort|all] [--w n] [--b n] [--pad n]
              [--layout linear|xor|rotation] [--E-min n] [--E-max n]
              [--any-E] [--ways k] [--digit-bits n] [--json]
-             [--certify] [--bs n,n,...] [--pads n,n,...]
+             [--trace file.wcmt] [--certify] [--bs n,n,...]
+             [--pads n,n,...]
   verify     statically verify the engines' access-pattern declarations
              across warp widths: barrier uniformity, def-use (no
              uninitialized or out-of-bounds shared-memory access) for
@@ -166,7 +136,7 @@ subcommands:
              (docs/SERVE.md); SIGINT/SIGTERM drain gracefully
              [--socket path|@name] [--data-dir dir] [--threads n]
              [--queue-max n] [--batch-max n] [--max-connections n]
-             [--quiet]
+             [--eventlog file.jsonl] [--quiet]
   metrics    fetch a running daemon's metrics over its socket and print
              them (docs/TELEMETRY.md "Exposition formats"); --format
              prometheus emits Prometheus text exposition 0.0.4
@@ -183,155 +153,23 @@ exit codes: 0 ok, 1 findings (analyze/prove/verify), 2 usage, 3 bad input
             7 interrupted campaign (resumable)
 )";
 
-/// Strict full-string parse of an unsigned decimal; rejects empty values,
-/// signs, trailing garbage ("15x"), and values above `max`.
-u64 parse_u64_value(const std::string& flag, const std::string& text,
-                    u64 max = std::numeric_limits<u64>::max()) {
-  if (text.empty()) {
-    throw parse_error("flag " + flag + " requires a numeric value");
-  }
-  u64 value = 0;
-  const auto [ptr, err] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (err != std::errc() || ptr != text.data() + text.size()) {
-    throw parse_error("invalid value '" + text + "' for " + flag +
-                      " (expected an unsigned integer)");
-  }
-  if (value > max) {
-    throw parse_error("value " + text + " for " + flag +
-                      " is out of range (max " + std::to_string(max) + ")");
-  }
-  return value;
-}
-
-/// Comma-separated list of unsigned decimals ("0,1,4"); every element is
-/// parsed with the same strictness as a scalar flag value.
-std::vector<u32> parse_u32_list(const std::string& flag,
-                                const std::string& text) {
-  std::vector<u32> values;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t comma = text.find(',', start);
-    const std::size_t end = comma == std::string::npos ? text.size() : comma;
-    values.push_back(static_cast<u32>(
-        parse_u64_value(flag, text.substr(start, end - start),
-                        std::numeric_limits<std::uint32_t>::max())));
-    if (comma == std::string::npos) {
-      break;
+/// `base` plus every flag of `more` it does not already declare.
+std::vector<cli::Flag> merged(std::vector<cli::Flag> base,
+                              const std::vector<cli::Flag>& more) {
+  for (const cli::Flag& f : more) {
+    bool present = false;
+    for (const cli::Flag& b : base) {
+      present = present || b.name == f.name;
     }
-    start = comma + 1;
-  }
-  return values;
-}
-
-std::string join_choices(const std::vector<std::string>& choices) {
-  std::string out;
-  for (const auto& c : choices) {
-    if (!out.empty()) {
-      out += ", ";
-    }
-    out += c;
-  }
-  return out;
-}
-
-struct Args {
-  std::map<std::string, std::string> named;
-
-  bool flag(const std::string& name) const {
-    return named.count("--" + name) > 0;
-  }
-  std::string get(const std::string& name, const std::string& fallback) const {
-    const auto it = named.find("--" + name);
-    return it == named.end() ? fallback : it->second;
-  }
-  u64 get_u64(const std::string& name, u64 fallback,
-              u64 max = std::numeric_limits<u64>::max()) const {
-    const auto it = named.find("--" + name);
-    return it == named.end() ? fallback
-                             : parse_u64_value("--" + name, it->second, max);
-  }
-  u32 get_u32(const std::string& name, u32 fallback) const {
-    return static_cast<u32>(get_u64(
-        name, fallback, std::numeric_limits<std::uint32_t>::max()));
-  }
-
-  /// Reject flags outside `allowed` (naming the subcommand and the valid
-  /// set) so a typo never silently falls back to a default.
-  void require_known(const std::string& cmd,
-                     const std::vector<std::string>& allowed) const {
-    for (const auto& [key, value] : named) {
-      bool ok = key == "--help";
-      for (const auto& a : allowed) {
-        ok = ok || key == "--" + a;
-      }
-      if (!ok) {
-        std::vector<std::string> pretty;
-        pretty.reserve(allowed.size());
-        for (const auto& a : allowed) {
-          pretty.push_back("--" + a);
-        }
-        throw parse_error("unknown flag '" + key + "' for subcommand '" +
-                          cmd + "' (valid: " + join_choices(pretty) + ")");
-      }
+    if (!present) {
+      base.push_back(f);
     }
   }
-};
-
-Args parse(int argc, char** argv, int first) {
-  Args args;
-  for (int i = first; i < argc; ++i) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) {
-      throw parse_error("unexpected argument '" + key +
-                        "' (flags start with --)");
-    }
-    if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      args.named[key] = argv[++i];
-    } else {
-      args.named[key] = "";
-    }
-  }
-  return args;
+  return base;
 }
 
-/// Strict choice parse: value must match one of `choices` exactly.
-template <typename T>
-T parse_choice(const std::string& flag, const std::string& value,
-               const std::vector<std::pair<std::string, T>>& choices) {
-  std::vector<std::string> names;
-  names.reserve(choices.size());
-  for (const auto& [name, v] : choices) {
-    if (value == name) {
-      return v;
-    }
-    names.push_back(name);
-  }
-  throw parse_error("unknown value '" + value + "' for " + flag +
-                    " (valid: " + join_choices(names) + ")");
-}
-
-core::AlignmentStrategy parse_strategy(const std::string& s) {
-  return parse_choice<core::AlignmentStrategy>(
-      "--strategy", s,
-      {{"front-to-back", core::AlignmentStrategy::front_to_back},
-       {"back-to-front", core::AlignmentStrategy::back_to_front},
-       {"outside-in", core::AlignmentStrategy::outside_in}});
-}
-
-sort::SortConfig config_from(const Args& a) {
-  sort::SortConfig cfg;
-  cfg.E = a.get_u32("E", 15);
-  cfg.b = a.get_u32("b", 512);
-  cfg.w = a.get_u32("w", 32);
-  cfg.padding = a.get_u32("padding", 0);
-  cfg.layout = gpusim::parse_layout_kind(a.get("layout", "linear"));
-  cfg.validate();
-  return cfg;
-}
-
-gpusim::Device device_from(const Args& a) {
-  return parse_choice<gpusim::Device>(
+gpusim::Device device_from(const cli::Args& a) {
+  return cli::parse_choice<gpusim::Device>(
       "--device", a.get("device", "m4000"),
       {{"m4000", gpusim::quadro_m4000()},
        {"quadro", gpusim::quadro_m4000()},
@@ -339,18 +177,20 @@ gpusim::Device device_from(const Args& a) {
        {"rtx2080ti", gpusim::rtx_2080ti()}});
 }
 
-int cmd_generate(const Args& a) {
-  a.require_known("generate", {"E", "b", "w", "padding", "k", "seed",
-                               "strategy", "intra", "rounds", "out", "csv"});
-  const auto cfg = config_from(a);
-  const u32 k = static_cast<u32>(a.get_u64("k", 8, 40));  // n = bE * 2^k
-  const std::size_t n = cfg.tile() << k;
-  core::AttackOptions opts;
-  opts.tile_shuffle_seed = a.get_u64("seed", 1);
-  opts.small_e_strategy = parse_strategy(a.get("strategy", "front-to-back"));
-  opts.attack_intra_block = a.flag("intra");
-  opts.max_attacked_rounds =
-      static_cast<std::size_t>(a.get_u64("rounds", static_cast<u64>(-1)));
+core::AlignmentStrategy strategy_from(const cli::Args& a) {
+  return core::parse_alignment_strategy(a.get("strategy", "front-to-back"));
+}
+
+int cmd_generate(const cli::Args& a) {
+  serve::GenerateParams p;
+  p.k = 8;  // the CLI's default size; the daemon op defaults to 4
+  serve::read_flags(a, p);
+  const sort::SortConfig& cfg = p.cfg;
+  cfg.validate();
+  const std::size_t n = p.n();
+  core::AttackOptions opts = p.attack_options();
+  opts.max_attacked_rounds = static_cast<std::size_t>(
+      a.get_u64("rounds", opts.max_attacked_rounds));
 
   const auto input = core::worst_case_input(n, cfg, opts);
   std::cout << "generated " << n << " keys for " << cfg.to_string()
@@ -367,7 +207,7 @@ int cmd_generate(const Args& a) {
   if (!out.empty()) {
     workload::write_binary(out, input);
     std::cout << "wrote " << out << "\n";
-    if (a.flag("csv")) {
+    if (a.has("csv")) {
       workload::write_csv(out + ".csv", input);
       std::cout << "wrote " << out << ".csv\n";
     }
@@ -381,14 +221,13 @@ int cmd_generate(const Args& a) {
   return 0;
 }
 
-int cmd_evaluate(const Args& a) {
-  a.require_known("evaluate", {"E", "w", "side", "strategy"});
+int cmd_evaluate(const cli::Args& a) {
   const u32 w = a.get_u32("w", 32);
   const u32 e = a.get_u32("E", 15);
-  const auto side = parse_choice<core::WarpSide>(
+  const auto side = cli::parse_choice<core::WarpSide>(
       "--side", a.get("side", "L"),
       {{"L", core::WarpSide::L}, {"R", core::WarpSide::R}});
-  const auto strategy = parse_strategy(a.get("strategy", "front-to-back"));
+  const auto strategy = strategy_from(a);
   const auto wa = core::worst_case_warp(w, e, side, strategy);
   const u32 s = core::alignment_window_start(w, e, strategy);
   const auto eval = core::evaluate_warp(wa, s);
@@ -403,11 +242,10 @@ int cmd_evaluate(const Args& a) {
   return 0;
 }
 
-int cmd_sort(const Args& a) {
-  a.require_known("sort", {"E", "b", "w", "padding", "layout", "k", "seed",
-                           "input", "device", "library", "algorithm", "ways",
-                           "digit-bits", "json", "trace-out"});
-  auto cfg = config_from(a);
+int cmd_sort(const cli::Args& a) {
+  sort::SortConfig cfg;
+  serve::read_flags(a, cfg);
+  cfg.validate();
   const std::string trace_out = a.get("trace-out", "");
   gpusim::TraceRecorder recorder;
   if (!trace_out.empty()) {
@@ -416,12 +254,12 @@ int cmd_sort(const Args& a) {
   const auto dev = device_from(a);
   const u32 k = static_cast<u32>(a.get_u64("k", 6, 40));  // n = bE * 2^k
   const std::size_t n = cfg.tile() << k;
-  const auto lib = parse_choice<sort::MergeSortLibrary>(
+  const auto lib = cli::parse_choice<sort::MergeSortLibrary>(
       "--library", a.get("library", "thrust"),
       {{"thrust", sort::MergeSortLibrary::thrust},
        {"mgpu", sort::MergeSortLibrary::mgpu}});
 
-  const auto kind = parse_choice<workload::InputKind>(
+  const auto kind = cli::parse_choice<workload::InputKind>(
       "--input", a.get("input", "worst-case"),
       {{"random", workload::InputKind::random},
        {"sorted", workload::InputKind::sorted},
@@ -466,21 +304,38 @@ int cmd_sort(const Args& a) {
     std::cerr << "wrote " << recorder.trace().steps.size()
               << " trace steps to " << trace_out << "\n";
   }
-  if (a.flag("json")) {
+  if (a.has("json")) {
     analysis::write_report_json(std::cout, report);
     std::cout << "\n";
     return 0;
   }
-  std::cout << report.summary() << "\n";
+  // The simulator's per-kernel profile (what nv-nsight-cu-cli reports for
+  // a real sort): one row per round, then where the modeled time went.
+  std::cout << report.summary() << "\n\n";
+  Table t({"kernel", "time_ms", "beta1", "beta2", "replays", "conflicts/elem",
+           "global_txn", "search_steps"});
   for (const auto& r : report.rounds) {
-    std::cout << "  " << r.name << ": " << r.modeled_seconds * 1e3
-              << " ms, beta2 " << gpusim::beta2(r.kernel) << "\n";
+    t.new_row()
+        .add(r.name)
+        .add(r.modeled_seconds * 1e3, 4)
+        .add(gpusim::beta1(r.kernel), 2)
+        .add(gpusim::beta2(r.kernel), 2)
+        .add(r.kernel.shared.replays)
+        .add(gpusim::conflicts_per_element(r.kernel), 3)
+        .add(r.kernel.global_transactions)
+        .add(r.kernel.binary_search_steps);
   }
+  t.print(std::cout);
+  const auto& time = report.total_time;
+  std::cout << "\ntime split: bandwidth " << time.t_bandwidth * 1e3
+            << "ms, shared " << time.t_shared * 1e3 << "ms, compute "
+            << time.t_compute * 1e3 << "ms, latency "
+            << time.t_latency * 1e3 << "ms, overhead "
+            << time.t_overhead * 1e3 << "ms\n";
   return 0;
 }
 
-int cmd_inspect(const Args& a) {
-  a.require_known("inspect", {"in"});
+int cmd_inspect(const cli::Args& a) {
   const std::string in = a.get("in", "");
   if (in.empty()) {
     throw parse_error("inspect requires --in file.wcmi");
@@ -502,83 +357,70 @@ int cmd_inspect(const Args& a) {
   return 0;
 }
 
-int cmd_analyze(const Args& a) {
-  a.require_known("analyze", {"in", "json", "pad", "layout",
-                              "no-cross-check"});
-  const std::string in = a.get("in", "");
-  if (in.empty()) {
-    throw parse_error("analyze requires --in file.wcmt");
+int cmd_analyze(const cli::Args& a) {
+  std::vector<std::string> files;
+  if (a.has("in")) {
+    files.push_back(a.get("in", ""));
+  }
+  files.insert(files.end(), a.operands().begin(), a.operands().end());
+  if (files.empty()) {
+    throw parse_error(
+        "analyze requires trace files: wcmgen analyze file.wcmt [more...]");
   }
   analyze::LintOptions opts;
-  opts.json = a.flag("json");
-  opts.analysis.pad = a.get_u32("pad", 0);
-  opts.analysis.layout = gpusim::parse_layout_kind(a.get("layout", "linear"));
-  opts.analysis.cross_check = !a.flag("no-cross-check");
-  return analyze::run_lint({in}, opts, std::cout, std::cerr);
+  opts.json = a.has("json");
+  opts.analysis.pad = a.get_u32("pad", opts.analysis.pad);
+  opts.analysis.layout = gpusim::parse_layout_kind(
+      a.get("layout", gpusim::to_string(opts.analysis.layout)));
+  opts.analysis.cross_check = !a.has("no-cross-check");
+  return analyze::run_lint(files, opts, std::cout, std::cerr);
 }
 
-/// The symbolic shape flag set shared by the `prove` branches and
-/// `verify`: one parse, one set of defaults, so the subcommands cannot
-/// drift apart on flag semantics.
-struct SymbolicShapeFlags {
-  u32 w = 32;
-  u32 b = 64;
-  u32 pad = 0;
-  gpusim::LayoutKind layout = gpusim::LayoutKind::linear;
-  u32 e_min = 3;
-  u32 e_max = 0;
-  u32 ways = 4;
-  u32 digit_bits = 4;
-  bool any_e = false;
-  bool json = false;
-};
-
-SymbolicShapeFlags symbolic_shape_flags(const Args& a, u32 e_min_default,
-                                        u32 e_max_default) {
-  SymbolicShapeFlags f;
-  f.w = a.get_u32("w", 32);
-  f.b = a.get_u32("b", 64);
-  f.pad = a.get_u32("pad", 0);
-  f.layout = gpusim::parse_layout_kind(a.get("layout", "linear"));
-  f.e_min = a.get_u32("E-min", e_min_default);
-  f.e_max = a.get_u32("E-max", e_max_default);
-  f.ways = a.get_u32("ways", 4);
-  f.digit_bits = a.get_u32("digit-bits", 4);
-  f.any_e = a.flag("any-E");
-  f.json = a.flag("json");
-  return f;
+/// Certify a recorded trace against the bounds proved for its engine: the
+/// static/dynamic cross-check the differential fuzzer runs on every trial.
+void certify_trace_file(const std::string& path,
+                        analyze::symbolic::ProveReport& report) {
+  std::ifstream is(path);
+  if (!is) {
+    throw io_error("cannot open trace file", path);
+  }
+  gpusim::Trace trace;
+  try {
+    trace = gpusim::read_trace(is);
+  } catch (const parse_error& e) {
+    throw io_error(std::string("corrupt trace: ") + e.what(), path);
+  }
+  analyze::symbolic::append_findings(
+      report, analyze::symbolic::certify_trace(trace, report.engines.at(0)));
 }
 
-std::vector<std::string> engine_list(const Args& a) {
-  const std::string engine = a.get("engine", "all");
-  return engine == "all" ? analyze::symbolic::all_engines()
-                         : std::vector<std::string>{engine};
-}
-
-int cmd_prove(const Args& a) {
-  a.require_known("prove", {"engine", "w", "b", "pad", "layout", "E-min",
-                            "E-max", "any-E", "ways", "digit-bits", "json",
-                            "certify", "bs", "pads"});
-  const SymbolicShapeFlags shape = symbolic_shape_flags(a, 3, 0);
-  if (a.flag("certify")) {
+int cmd_prove(const cli::Args& a) {
+  serve::ProveParams prove;
+  serve::read_flags(a, prove);
+  const bool json = a.has("json");
+  // Both modes run every engine unless --engine names one.
+  const std::vector<std::string> engines = serve::expand_engines(prove.engine);
+  if (a.has("certify")) {
     // Certification mode: universally quantified conflict-freedom over a
     // (b, pad) grid, or a replay-confirmed counterexample (docs/THEORY.md).
-    analyze::symbolic::CertifyOptions copts;
-    copts.w = shape.w;
-    copts.bs = parse_u32_list("--bs", a.get("bs", a.get("b", "64")));
-    copts.pads = parse_u32_list("--pads", a.get("pads", a.get("pad", "0")));
-    copts.layout = shape.layout;
-    copts.e_min = shape.e_min;
-    copts.e_max = shape.e_max;
-    copts.ways = shape.ways;
-    copts.digit_bits = shape.digit_bits;
-    copts.any_e = shape.any_e;
-    copts.json = shape.json;
-    const std::vector<std::string> engines = engine_list(a);
+    if (a.has("trace")) {
+      throw parse_error("--trace certifies against prove's bounds "
+                        "(drop --certify)");
+    }
+    serve::CertifyParams p;
+    serve::read_flags(a, p);
+    // The grid axes default to the scalar --b/--pad.
+    if (!a.has("bs") && a.has("b")) {
+      p.opts.bs = cli::parse_u32_list("--b", a.get("b", ""));
+    }
+    if (!a.has("pads") && a.has("pad")) {
+      p.opts.pads = cli::parse_u32_list("--pad", a.get("pad", ""));
+    }
+    p.opts.json = json;
     bool all_certified = true;
     for (const auto& name : engines) {
-      const auto cert = analyze::symbolic::certify_engine(name, copts);
-      if (copts.json) {
+      const auto cert = analyze::symbolic::certify_engine(name, p.opts);
+      if (json) {
         // One JSON document per engine, one per line (NDJSON for "all").
         analyze::symbolic::render_json(std::cout, cert);
       } else {
@@ -588,23 +430,19 @@ int cmd_prove(const Args& a) {
     }
     return all_certified ? 0 : 1;
   }
-  if (a.flag("bs") || a.flag("pads")) {
+  if (a.has("bs") || a.has("pads")) {
     throw parse_error("--bs/--pads are grid axes of certification mode "
                       "(add --certify, or use scalar --b/--pad)");
   }
-  analyze::symbolic::ProveOptions opts;
-  opts.w = shape.w;
-  opts.b = shape.b;
-  opts.pad = shape.pad;
-  opts.layout = shape.layout;
-  opts.e_min = shape.e_min;
-  opts.e_max = shape.e_max;
-  opts.ways = shape.ways;
-  opts.digit_bits = shape.digit_bits;
-  opts.any_e = shape.any_e;
-  opts.json = shape.json;
-  const auto report = analyze::symbolic::prove(engine_list(a), opts);
-  if (opts.json) {
+  if (a.has("trace") && engines.size() != 1) {
+    throw parse_error("--trace requires a single --engine to certify against");
+  }
+  prove.opts.json = json;
+  auto report = analyze::symbolic::prove(engines, prove.opts);
+  if (a.has("trace")) {
+    certify_trace_file(a.get("trace", ""), report);
+  }
+  if (json) {
     analyze::symbolic::render_json(std::cout, report);
   } else {
     analyze::symbolic::render_text(std::cout, report);
@@ -612,43 +450,52 @@ int cmd_prove(const Args& a) {
   return report.findings.empty() ? 0 : 1;
 }
 
-int cmd_verify(const Args& a) {
-  a.require_known("verify", {"engine", "ws", "b", "pad", "layout", "E-min",
-                             "E-max", "odd-E", "ways", "digit-bits", "json",
-                             "no-differential"});
-  analyze::passes::VerifyOptions opts;
-  // E defaults deliberately exceed the conflict prover's E < w domain:
+int cmd_verify(const cli::Args& a) {
+  // The defaults deliberately exceed the conflict prover's E < w domain:
   // the def-use and barrier passes are universal over the whole range,
   // the conflict-bound pass clamps itself to the model's regime.
-  const SymbolicShapeFlags shape = symbolic_shape_flags(a, 1, 256);
-  opts.ws = parse_u32_list("--ws", a.get("ws", "2,4,8,16,32,64"));
+  analyze::passes::VerifyOptions opts;
+  if (a.has("ws")) {
+    opts.ws = cli::parse_u32_list("--ws", a.get("ws", ""));
+  }
   for (const u32 w : opts.ws) {
     if (w < 1) {
       throw parse_error("--ws values must be >= 1");
     }
   }
-  opts.b = shape.b;
-  opts.pad = shape.pad;
-  opts.layout = shape.layout;
-  opts.e_min = shape.e_min;
-  opts.e_max = shape.e_max;
-  opts.ways = shape.ways;
-  opts.digit_bits = shape.digit_bits;
+  opts.b = a.get_u32("b", opts.b);
+  opts.pad = a.get_u32("pad", opts.pad);
+  opts.layout = gpusim::parse_layout_kind(
+      a.get("layout", gpusim::to_string(opts.layout)));
+  opts.e_min = a.get_u32("E-min", opts.e_min);
+  opts.e_max = a.get_u32("E-max", opts.e_max);
+  opts.ways = a.get_u32("ways", opts.ways);
+  opts.digit_bits = a.get_u32("digit-bits", opts.digit_bits);
   // verify defaults to every E (the static claims are universal); --odd-E
   // restricts to the paper's odd-E congruence like prove's default.
-  opts.any_e = !a.flag("odd-E");
-  opts.differential = !a.flag("no-differential");
-  opts.json = shape.json;
+  opts.any_e = !a.has("odd-E");
+  opts.differential = !a.has("no-differential");
+  opts.json = a.has("json");
   if (opts.e_min < 1 || opts.e_min > opts.e_max) {
     throw parse_error("verify needs 1 <= --E-min <= --E-max");
   }
-  const auto report = analyze::passes::run_verify(engine_list(a), opts);
+  const auto report = analyze::passes::run_verify(
+      serve::expand_engines(a.get("engine", "all")), opts);
   if (opts.json) {
     analyze::passes::render_json(std::cout, report);
   } else {
     analyze::passes::render_text(std::cout, report);
   }
   return report.proved && report.differential_ok ? 0 : 1;
+}
+
+int cmd_visualize(const cli::Args& a) {
+  const u32 w = a.get_u32("w", 16);
+  const u32 e = a.get_u32("E", 7);
+  const auto wa = core::worst_case_warp(w, e, core::WarpSide::L,
+                                        strategy_from(a));
+  std::cout << core::render_warp(wa);
+  return 0;
 }
 
 /// Shared by the SIGINT/SIGTERM handlers and the campaign: cancel() is a
@@ -659,11 +506,13 @@ extern "C" void wcmgen_on_signal(int /*signum*/) {
   g_campaign_cancel.cancel();
 }
 
-int cmd_campaign(const Args& a, const std::string& spec_path) {
-  a.require_known("campaign", {"spec", "threads", "no-cache", "cache", "out",
-                               "trace-dir", "quiet", "journal", "resume",
-                               "retries", "fail-fast"});
-  std::string path = spec_path.empty() ? a.get("spec", "") : spec_path;
+int cmd_campaign(const cli::Args& a) {
+  if (a.operands().size() > 1) {
+    throw parse_error("unexpected argument '" + a.operands()[1] +
+                      "' (campaign takes one spec file)");
+  }
+  const std::string path =
+      a.operands().empty() ? a.get("spec", "") : a.operands()[0];
   if (path.empty()) {
     throw parse_error(
         "campaign requires a spec file: wcmgen campaign spec.json");
@@ -672,16 +521,16 @@ int cmd_campaign(const Args& a, const std::string& spec_path) {
 
   runtime::CampaignOptions opts;
   opts.threads = a.get_u32("threads", 0);
-  opts.use_cache = !a.flag("no-cache");
+  opts.use_cache = !a.has("no-cache");
   opts.cache_path = a.get("cache", "");
   opts.trace_dir = a.get("trace-dir", "");
-  if (!a.flag("quiet")) {
+  if (!a.has("quiet")) {
     opts.progress = &std::cerr;
   }
   // Journal next to the spec by default (like the cache), overridable.
   opts.journal_path = a.get("journal", path + ".wcmj");
-  opts.resume = a.flag("resume");
-  opts.fail_fast = a.flag("fail-fast");
+  opts.resume = a.has("resume");
+  opts.fail_fast = a.has("fail-fast");
   // --retries n = n re-runs after the first failure.
   opts.retry.max_attempts =
       static_cast<u32>(a.get_u64("retries", 2, 100)) + 1;
@@ -731,37 +580,14 @@ int cmd_campaign(const Args& a, const std::string& spec_path) {
   return outcome.degraded() ? 6 : 0;
 }
 
-int cmd_serve(const Args& a) {
-  a.require_known("serve", {"socket", "data-dir", "threads", "queue-max",
-                            "batch-max", "max-connections", "quiet"});
-  serve::ServerConfig cfg;
-  cfg.socket = a.get("socket", cfg.socket);
-  cfg.data_dir = a.get("data-dir", "");
-  cfg.threads = a.get_u32("threads", 0);
-  cfg.queue_max = a.get_u64("queue-max", cfg.queue_max, 1 << 20);
-  cfg.batch_max = a.get_u64("batch-max", cfg.batch_max, 1 << 20);
-  cfg.max_connections =
-      a.get_u64("max-connections", cfg.max_connections, 1 << 20);
-  if (cfg.queue_max == 0 || cfg.batch_max == 0 || cfg.max_connections == 0) {
-    throw parse_error(
-        "--queue-max, --batch-max, and --max-connections must be >= 1");
-  }
-  serve::Server server(cfg);
-  return serve::run_server(server, a.flag("quiet"));
-}
-
-int cmd_metrics(const Args& a) {
-  a.require_known("metrics", {"socket", "format", "timeout-ms"});
-  const std::string socket = a.get("socket", "@wcmd");
-  const std::string format = a.get("format", "json");
-  if (format != "json" && format != "text" && format != "prometheus") {
-    throw parse_error("invalid value '" + format +
-                      "' for --format (valid: json, prometheus, text)");
-  }
+int cmd_metrics(const cli::Args& a) {
+  serve::MetricsParams p;
+  serve::read_flags(a, p);
+  const std::string socket = a.get("socket", serve::ServerConfig().socket);
   const u64 timeout_ms = a.get_u64("timeout-ms", 2000, 600'000);
   serve::Client client = serve::connect_with_retry(socket, timeout_ms);
   json::Object params;
-  params.emplace("format", json::Value(format));
+  params.emplace("format", json::Value(std::string(to_string(p.format))));
   json::Object req;
   req.emplace("id", json::Value(std::string("metrics")));
   req.emplace("op", json::Value(std::string("metrics")));
@@ -775,7 +601,7 @@ int cmd_metrics(const Args& a) {
     throw io_error("daemon refused the metrics request", reply);
   }
   const json::Value& result = fields.at("result");
-  if (format == "json") {
+  if (p.format == serve::MetricsFormat::json) {
     std::cout << json::to_text(result) << "\n";
   } else {
     // The daemon wraps line-oriented expositions in a {"body","format"}
@@ -796,158 +622,150 @@ int cmd_version() {
   return 0;
 }
 
-int cmd_visualize(const Args& a) {
-  a.require_known("visualize", {"E", "w", "strategy"});
-  const u32 w = a.get_u32("w", 16);
-  const u32 e = a.get_u32("E", 7);
-  const auto strategy = parse_strategy(a.get("strategy", "front-to-back"));
-  const auto wa = core::worst_case_warp(w, e, core::WarpSide::L, strategy);
-  std::cout << core::render_warp(wa);
-  return 0;
+struct Command {
+  std::string name;
+  std::vector<cli::Flag> flags;
+  int (*run)(const cli::Args&);
+  bool operands = false;  ///< accepts positional operands
+};
+
+/// Every subcommand but profile, help and version (which take no flags of
+/// their own).
+const std::vector<Command>& commands() {
+  static const std::vector<Command> table = {
+      {"generate",
+       merged(serve::flags_of<serve::GenerateParams>(),
+              {{"rounds"}, {"out"}, {"csv", false}}),
+       cmd_generate},
+      {"evaluate", {{"E"}, {"w"}, {"side"}, {"strategy"}}, cmd_evaluate},
+      {"sort",
+       merged(serve::flags_of<sort::SortConfig>(),
+              {{"k"}, {"seed"}, {"input"}, {"device"}, {"library"},
+               {"algorithm"}, {"ways"}, {"digit-bits"}, {"json", false},
+               {"trace-out"}}),
+       cmd_sort},
+      {"inspect", {{"in"}}, cmd_inspect},
+      {"analyze",
+       {{"in"}, {"json", false}, {"pad"}, {"layout"},
+        {"no-cross-check", false}},
+       cmd_analyze,
+       true},
+      {"prove",
+       merged(merged(serve::flags_of<serve::ProveParams>(),
+                     serve::flags_of<serve::CertifyParams>()),
+              {{"json", false}, {"certify", false}, {"trace"}}),
+       cmd_prove},
+      {"verify",
+       {{"engine"}, {"ws"}, {"b"}, {"pad"}, {"layout"}, {"E-min"},
+        {"E-max"}, {"odd-E", false}, {"ways"}, {"digit-bits"},
+        {"json", false}, {"no-differential", false}},
+       cmd_verify},
+      {"visualize", {{"E"}, {"w"}, {"strategy"}}, cmd_visualize},
+      {"campaign",
+       {{"spec"}, {"threads"}, {"no-cache", false}, {"cache"}, {"out"},
+        {"trace-dir"}, {"quiet", false}, {"journal"}, {"resume", false},
+        {"retries"}, {"fail-fast", false}},
+       cmd_campaign,
+       true},
+      {"serve", serve::serve_flags(), serve::run_server},
+      {"metrics",
+       merged(serve::flags_of<serve::MetricsParams>(),
+              {{"socket"}, {"timeout-ms"}}),
+       cmd_metrics},
+  };
+  return table;
 }
 
-/// True iff `cmd` names a wrappable subcommand (everything but help and
-/// profile itself).
-bool is_subcommand(const std::string& cmd) {
-  return cmd == "generate" || cmd == "evaluate" || cmd == "sort" ||
-         cmd == "inspect" || cmd == "analyze" || cmd == "prove" ||
-         cmd == "verify" || cmd == "visualize" || cmd == "campaign";
-}
-
-/// Route one subcommand invocation; `argv[1]` must be `cmd`.  Shared by
-/// run() and the profile wrapper, so `wcmgen profile <anything>` executes
-/// the exact same code path as the bare invocation.
-int dispatch(const std::string& cmd, int argc, char** argv) {
-  if (cmd == "campaign") {
-    // The spec file is the one positional operand in the CLI; everything
-    // else stays flag-style.
-    int first = 2;
-    std::string spec_path;
-    if (argc > 2 && std::string(argv[2]).rfind("--", 0) != 0) {
-      spec_path = argv[2];
-      first = 3;
+const Command* find_command(const std::string& name) {
+  for (const Command& c : commands()) {
+    if (c.name == name) {
+      return &c;
     }
-    const Args cargs = parse(argc, argv, first);
-    if (cargs.flag("help")) {
-      std::cout << kUsage;
-      return 0;
-    }
-    return cmd_campaign(cargs, spec_path);
   }
-  const Args args = parse(argc, argv, 2);
-  if (args.flag("help")) {
+  return nullptr;
+}
+
+/// Parse `tokens` against `cmd`'s flags and run it.
+int run_command(const Command& cmd, const std::vector<std::string>& tokens) {
+  const cli::Args args(tokens, cmd.flags, "subcommand '" + cmd.name + "'",
+                       cmd.operands);
+  if (args.has("help")) {
     std::cout << kUsage;
     return 0;
   }
-  if (cmd == "generate") {
-    return cmd_generate(args);
-  }
-  if (cmd == "evaluate") {
-    return cmd_evaluate(args);
-  }
-  if (cmd == "sort") {
-    return cmd_sort(args);
-  }
-  if (cmd == "inspect") {
-    return cmd_inspect(args);
-  }
-  if (cmd == "analyze") {
-    return cmd_analyze(args);
-  }
-  if (cmd == "prove") {
-    return cmd_prove(args);
-  }
-  if (cmd == "verify") {
-    return cmd_verify(args);
-  }
-  if (cmd == "visualize") {
-    return cmd_visualize(args);
-  }
-  if (cmd == "serve") {
-    return cmd_serve(args);
-  }
-  if (cmd == "metrics") {
-    return cmd_metrics(args);
-  }
-  throw parse_error("unknown subcommand '" + cmd +
-                    "' (valid: generate, evaluate, sort, inspect, analyze, "
-                    "prove, verify, visualize, campaign, serve, metrics, "
-                    "version, profile, help)");
+  return cmd.run(args);
 }
 
-int cmd_profile(int argc, char** argv) {
-  // Peel off the profile-only flags; everything else is either a wrapped
-  // subcommand invocation or the canned-adversarial flag set.
-  std::string trace_out;
-  std::string metrics_out;
-  std::vector<std::string> rest;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--telemetry" || arg == "--metrics") {
-      if (i + 1 >= argc || std::string(argv[i + 1]).rfind("--", 0) == 0) {
-        throw parse_error("flag " + arg + " requires a file path");
-      }
-      (arg == "--telemetry" ? trace_out : metrics_out) = argv[++i];
-    } else {
-      rest.push_back(arg);
+/// Canned profile: a worst-case sort in the requested E regime.
+int cmd_profile_canned(const cli::Args& a) {
+  const std::string engine = a.get("engine", "");
+  if (engine.empty()) {
+    throw parse_error(
+        "profile needs a subcommand to wrap, or --engine with "
+        "--adversarial small-E|large-E (see wcmgen --help)");
+  }
+  cli::parse_choice<int>("--engine", engine,
+                         {{"pairwise", 0}, {"multiway", 1}, {"bitonic", 2},
+                          {"radix", 3}, {"shearsort", 4}});
+  const bool small_e = cli::parse_choice<bool>(
+      "--adversarial", a.get("adversarial", "large-E"),
+      {{"small-E", true}, {"large-E", false}});
+  // small-E (E < w/2, Theorem 3) vs large-E (w/2 < E < w, Theorem 9 —
+  // the regime the paper's headline slowdown comes from).
+  std::vector<std::string> sort_tokens = {
+      "--E",     small_e ? "5" : "31",
+      "--b",     "64",
+      "--w",     "32",
+      "--k",     std::to_string(a.get_u64("k", 4, 40)),
+      "--input", "worst-case",
+      "--algorithm", engine};
+  for (const char* passed : {"seed", "device"}) {
+    if (a.has(passed)) {
+      sort_tokens.insert(sort_tokens.end(),
+                         {std::string("--") + passed, a.get(passed, "")});
     }
   }
+  if (a.has("json")) {
+    sort_tokens.emplace_back("--json");
+  }
+  return run_command(*find_command("sort"), sort_tokens);
+}
+
+int cmd_profile(std::vector<std::string> tokens) {
+  const std::vector<cli::Flag> profile_flags = {{"telemetry"}, {"metrics"}};
+  const Command canned = {"profile",
+                          {{"engine"}, {"adversarial"}, {"k"}, {"seed"},
+                           {"device"}, {"json", false}},
+                          cmd_profile_canned};
+  // The wrapped subcommand is the first token that is neither a profile
+  // flag nor its value; without one, profile runs the canned sort.
+  const Command* target = &canned;
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    if (tokens[i] == "--telemetry" || tokens[i] == "--metrics") {
+      ++i;
+      continue;
+    }
+    if (const Command* inner = find_command(tokens[i])) {
+      target = inner;
+      tokens.erase(tokens.begin() + static_cast<std::ptrdiff_t>(i));
+    }
+    break;
+  }
+  const cli::Args args(tokens, merged(target->flags, profile_flags),
+                       "profile", target->operands);
+  if (args.has("help")) {
+    std::cout << kUsage;
+    return 0;
+  }
+  const std::string trace_out = args.get("telemetry", "");
+  const std::string metrics_out = args.get("metrics", "");
 
   telemetry::set_enabled(true);
   telemetry::set_tracing(true);
   if (!trace_out.empty()) {
     telemetry::set_trace_path(trace_out);
   }
-
-  int code = 0;
-  if (!rest.empty() && is_subcommand(rest[0])) {
-    // Wrapped mode: re-dispatch the inner invocation untouched.
-    std::vector<char*> inner;
-    inner.push_back(argv[0]);
-    for (const std::string& r : rest) {
-      inner.push_back(const_cast<char*>(r.c_str()));
-    }
-    code = dispatch(rest[0], static_cast<int>(inner.size()), inner.data());
-  } else {
-    // Canned mode: a worst-case sort in the requested E regime.
-    std::vector<char*> flat;
-    flat.push_back(argv[0]);
-    flat.push_back(const_cast<char*>("profile"));
-    for (const std::string& r : rest) {
-      flat.push_back(const_cast<char*>(r.c_str()));
-    }
-    const Args a = parse(static_cast<int>(flat.size()), flat.data(), 2);
-    a.require_known("profile",
-                    {"engine", "adversarial", "k", "seed", "device", "json"});
-    const std::string engine = a.get("engine", "");
-    if (engine.empty()) {
-      throw parse_error(
-          "profile needs a subcommand to wrap, or --engine with "
-          "--adversarial small-E|large-E (see wcmgen --help)");
-    }
-    parse_choice<int>("--engine", engine,
-                      {{"pairwise", 0}, {"multiway", 1}, {"bitonic", 2},
-                       {"radix", 3}, {"shearsort", 4}});
-    const bool small_e = parse_choice<bool>(
-        "--adversarial", a.get("adversarial", "large-E"),
-        {{"small-E", true}, {"large-E", false}});
-
-    Args sorta;
-    // small-E (E < w/2, Theorem 3) vs large-E (w/2 < E < w, Theorem 9 —
-    // the regime the paper's headline slowdown comes from).
-    sorta.named["--E"] = small_e ? "5" : "31";
-    sorta.named["--b"] = "64";
-    sorta.named["--w"] = "32";
-    sorta.named["--k"] = std::to_string(a.get_u64("k", 4, 40));
-    sorta.named["--seed"] = std::to_string(a.get_u64("seed", 1));
-    sorta.named["--input"] = "worst-case";
-    sorta.named["--algorithm"] = engine;
-    sorta.named["--device"] = a.get("device", "m4000");
-    if (a.flag("json")) {
-      sorta.named["--json"] = "";
-    }
-    code = cmd_sort(sorta);
-  }
+  const int code = target->run(args);
 
   // Observability must never change the observed run's outcome: metric
   // and trace export failures warn and leave `code` alone.
@@ -975,15 +793,12 @@ int cmd_profile(int argc, char** argv) {
 }
 
 int run(int argc, char** argv) {
-  // Surface a malformed WCM_FAILPOINTS value up front as a usage error
-  // (exit 2) rather than letting the lazy parse throw mid-run inside a
-  // worker (which would report exit 5).
-  failpoint::configure_from_env();
   if (argc < 2) {
     std::cerr << kUsage;
     return 2;
   }
   const std::string cmd = argv[1];
+  std::vector<std::string> rest = cli::tokens(argc, argv, 2);
   if (cmd == "help" || cmd == "--help" || cmd == "-h") {
     std::cout << kUsage;
     return 0;
@@ -992,44 +807,23 @@ int run(int argc, char** argv) {
     return cmd_version();
   }
   if (cmd == "profile") {
-    return cmd_profile(argc, argv);
+    return cmd_profile(std::move(rest));
   }
-  return dispatch(cmd, argc, argv);
+  const Command* command = find_command(cmd);
+  if (command == nullptr) {
+    std::vector<std::string> names;
+    for (const Command& c : commands()) {
+      names.push_back(c.name);
+    }
+    names.insert(names.end(), {"profile", "version", "help"});
+    throw parse_error("unknown subcommand '" + cmd +
+                      "' (valid: " + cli::join(names) + ")");
+  }
+  return run_command(*command, rest);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  // WCM_TRACE_OUT / WCM_TELEMETRY / WCM_EVENTLOG work for every
-  // subcommand, not just profile (docs/TELEMETRY.md).
-  telemetry::configure_from_env();
-  telemetry::eventlog::configure_from_env();
-  int code = 0;
-  try {
-    code = run(argc, argv);
-  } catch (const parse_error& e) {
-    std::cerr << "usage error: " << e.what() << "\n"
-              << "(run 'wcmgen --help' for the full synopsis)\n";
-    code = 2;
-  } catch (const io_error& e) {
-    std::cerr << "input error: " << e.what() << "\n";
-    code = 3;
-  } catch (const config_error& e) {
-    std::cerr << "config error: " << e.what() << "\n";
-    code = 4;
-  } catch (const wcm::error& e) {
-    std::cerr << "internal error [" << to_string(e.code())
-              << "]: " << e.what() << "\n";
-    code = 5;
-  } catch (const std::exception& e) {
-    std::cerr << "internal error: " << e.what() << "\n";
-    code = 5;
-  } catch (...) {
-    std::cerr << "internal error: unknown exception\n";
-    code = 5;
-  }
-  // A failed trace export never changes the exit code (it only warns):
-  // observability must not fail the run it observed.
-  wcm::telemetry::flush_trace(&std::cerr);
-  return code;
+  return serve::guarded_main("wcmgen", [&] { return run(argc, argv); });
 }

@@ -50,7 +50,7 @@ struct Diagnostic {
   std::string message;
 };
 
-/// `wcm-lint`-style one-per-line rendering:
+/// `wcmgen analyze`-style one-per-line rendering:
 ///   error: write-read-race at step 12 [lanes 0,3]: <message>
 void render_text(std::ostream& os, const Diagnostic& d);
 

@@ -1,9 +1,9 @@
 #pragma once
-// The `wcmgen prove` / `wcm-prove` engine: derives — without executing any
+// The `wcmgen prove` engine: derives — without executing any
 // trace — per-step bank-conflict-degree bounds for every declared step
 // group of every sort engine, valid for all parameter valuations in a
 // declared range, runs the Theorem 3/9 cross-check instances, and renders
-// the result in wcm-lint's text/JSON diagnostic format.
+// the result in `wcmgen analyze`'s text/JSON diagnostic format.
 //
 // Findings (analyze::Diagnostic, rules documented in docs/LINT.md):
 //   unproved-access      a step group no proof method could bound

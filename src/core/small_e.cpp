@@ -4,6 +4,7 @@
 
 #include "core/numbers.hpp"
 #include "util/check.hpp"
+#include "util/cli.hpp"
 
 namespace wcm::core {
 
@@ -176,6 +177,14 @@ const char* to_string(AlignmentStrategy s) noexcept {
       return "outside-in";
   }
   return "?";
+}
+
+AlignmentStrategy parse_alignment_strategy(const std::string& name) {
+  return cli::parse_choice<AlignmentStrategy>(
+      "strategy", name,
+      {{"front-to-back", AlignmentStrategy::front_to_back},
+       {"back-to-front", AlignmentStrategy::back_to_front},
+       {"outside-in", AlignmentStrategy::outside_in}});
 }
 
 SmallEConstruction build_small_e_variant(u32 w, u32 E, AlignmentStrategy s) {

@@ -3,6 +3,8 @@
 // E^2 possible elements (E full columns, one per aligned thread) to the
 // first E memory banks (s = 0).
 
+#include <string>
+
 #include "core/assignment.hpp"
 
 namespace wcm::core {
@@ -25,6 +27,9 @@ namespace wcm::core {
 enum class AlignmentStrategy { front_to_back, back_to_front, outside_in };
 
 [[nodiscard]] const char* to_string(AlignmentStrategy s) noexcept;
+/// Inverse of to_string; throws wcm::parse_error naming the valid set.
+[[nodiscard]] AlignmentStrategy parse_alignment_strategy(
+    const std::string& name);
 
 /// A constructed warp plus the bank where its alignment window starts.
 struct SmallEConstruction {

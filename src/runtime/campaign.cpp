@@ -212,7 +212,7 @@ CellMetrics metrics_of(const sort::SortReport& report) {
 }
 
 /// Compute one cell.  `recorder` non-null = capture the cell's
-/// shared-memory trace for wcm-lint.
+/// shared-memory trace for `wcmgen analyze`.
 CellMetrics compute_cell(const CampaignCell& cell, const gpusim::Device& dev,
                          gpusim::TraceRecorder* recorder) {
   // Inputs are generated trace-free: the recorded WCMT must contain only

@@ -2,15 +2,11 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <limits>
 #include <sstream>
-#include <vector>
 
-#include "analyze/symbolic/certify.hpp"
-#include "analyze/symbolic/prove.hpp"
 #include "core/generator.hpp"
-#include "gpusim/layout.hpp"
 #include "runtime/campaign.hpp"
+#include "serve/ops.hpp"
 #include "telemetry/exposition.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/span.hpp"
@@ -22,8 +18,6 @@
 namespace wcm::serve {
 
 namespace {
-
-constexpr u64 u32_max = std::numeric_limits<std::uint32_t>::max();
 
 /// Re-serialize a rendered JSON document as one sorted-key line, so any
 /// library renderer (pretty-printed or not) can be spliced into a
@@ -38,34 +32,13 @@ std::string hex_u64(u64 v) {
   return os.str();
 }
 
-core::AlignmentStrategy strategy_from(const std::string& name) {
-  if (name == "back-to-front") {
-    return core::AlignmentStrategy::back_to_front;
-  }
-  if (name == "outside-in") {
-    return core::AlignmentStrategy::outside_in;
-  }
-  return core::AlignmentStrategy::front_to_back;  // canonical default
-}
-
 std::string run_generate(const json::Object& p) {
   WCM_SPAN("serve.generate");
-  sort::SortConfig cfg;
-  cfg.E = static_cast<u32>(param_u64(p, "E", 15, u32_max));
-  cfg.b = static_cast<u32>(param_u64(p, "b", 512, u32_max));
-  cfg.w = static_cast<u32>(param_u64(p, "w", 32, u32_max));
-  cfg.padding = static_cast<u32>(param_u64(p, "padding", 0, u32_max));
-  cfg.layout = gpusim::parse_layout_kind(param_string(p, "layout", "linear"));
+  const auto params = params_from_json<GenerateParams>("generate", p);
+  const sort::SortConfig& cfg = params.cfg;
   cfg.validate();
-  const u32 k = static_cast<u32>(param_u64(p, "k", 4, 40));
-  const std::size_t n = cfg.tile() << k;
-
-  core::AttackOptions opts;
-  opts.tile_shuffle_seed = param_u64(p, "seed", 1);
-  opts.small_e_strategy =
-      strategy_from(param_string(p, "strategy", "front-to-back"));
-  opts.attack_intra_block = param_bool(p, "intra", false);
-  const auto input = core::worst_case_input(n, cfg, opts);
+  const std::size_t n = params.n();
+  const auto input = core::worst_case_input(n, cfg, params.attack_options());
 
   json::Object result;
   result.emplace("digest",
@@ -88,22 +61,10 @@ std::string run_generate(const json::Object& p) {
 
 std::string run_prove(const json::Object& p) {
   WCM_SPAN("serve.prove");
-  analyze::symbolic::ProveOptions opts;
-  opts.w = static_cast<u32>(param_u64(p, "w", 32, u32_max));
-  opts.b = static_cast<u32>(param_u64(p, "b", 64, u32_max));
-  opts.pad = static_cast<u32>(param_u64(p, "pad", 0, u32_max));
-  opts.layout = gpusim::parse_layout_kind(param_string(p, "layout", "linear"));
-  opts.e_min = static_cast<u32>(param_u64(p, "E_min", 3, u32_max));
-  opts.e_max = static_cast<u32>(param_u64(p, "E_max", 0, u32_max));
-  opts.ways = static_cast<u32>(param_u64(p, "ways", 4, u32_max));
-  opts.digit_bits = static_cast<u32>(param_u64(p, "digit_bits", 4, u32_max));
-  opts.any_e = param_bool(p, "any_E", false);
-  opts.json = true;
-  const std::string engine = param_string(p, "engine", "all");
-  const std::vector<std::string> engines =
-      engine == "all" ? analyze::symbolic::all_engines()
-                      : std::vector<std::string>{engine};
-  const auto report = analyze::symbolic::prove(engines, opts);
+  auto params = params_from_json<ProveParams>("prove", p);
+  params.opts.json = true;
+  const auto report =
+      analyze::symbolic::prove(expand_engines(params.engine), params.opts);
   std::ostringstream os;
   analyze::symbolic::render_json(os, report);
   return as_one_line(os.str());
@@ -111,19 +72,10 @@ std::string run_prove(const json::Object& p) {
 
 std::string run_certify(const json::Object& p) {
   WCM_SPAN("serve.certify");
-  analyze::symbolic::CertifyOptions opts;
-  opts.w = static_cast<u32>(param_u64(p, "w", 32, u32_max));
-  opts.bs = param_u32_list(p, "bs", {64});
-  opts.pads = param_u32_list(p, "pads", {0});
-  opts.layout = gpusim::parse_layout_kind(param_string(p, "layout", "linear"));
-  opts.e_min = static_cast<u32>(param_u64(p, "E_min", 3, u32_max));
-  opts.e_max = static_cast<u32>(param_u64(p, "E_max", 0, u32_max));
-  opts.ways = static_cast<u32>(param_u64(p, "ways", 4, u32_max));
-  opts.digit_bits = static_cast<u32>(param_u64(p, "digit_bits", 4, u32_max));
-  opts.any_e = param_bool(p, "any_E", false);
-  opts.json = true;
-  const auto cert = analyze::symbolic::certify_engine(
-      param_string(p, "engine", "shearsort"), opts);
+  auto params = params_from_json<CertifyParams>("certify", p);
+  params.opts.json = true;
+  const auto cert =
+      analyze::symbolic::certify_engine(params.engine, params.opts);
   std::ostringstream os;
   analyze::symbolic::render_json(os, cert);
   return as_one_line(os.str());
@@ -180,21 +132,11 @@ std::string run_campaign(const Request& req, const ServerConfig& cfg,
 
 std::string run_metrics(const json::Object& p) {
   // The admin path answers inline, without canonical_request(), so the
-  // params are validated here (mirroring canonical_metrics in protocol.cpp).
-  for (const auto& [key, value] : p) {
-    if (key != "format") {
-      throw parse_error("unknown param '" + key +
-                        "' for op 'metrics' (valid: format)");
-    }
-  }
-  const std::string format = param_string(p, "format", "json");
-  if (format != "json" && format != "text" && format != "prometheus") {
-    throw parse_error("unknown value '" + format +
-                      "' for param 'format' (valid: json, prometheus, "
-                      "text)");
-  }
+  // params are decoded (and validated) here.
+  const MetricsFormat format =
+      params_from_json<MetricsParams>("metrics", p).format;
   const telemetry::Snapshot snap = telemetry::registry().snapshot();
-  if (format == "json") {
+  if (format == MetricsFormat::json) {
     std::ostringstream os;
     snap.write_json(os);
     return as_one_line(os.str());
@@ -202,14 +144,14 @@ std::string run_metrics(const json::Object& p) {
   // Text and Prometheus expositions are line-oriented documents; wrap
   // them in a JSON envelope so the response stays one strict-JSON line.
   std::ostringstream os;
-  if (format == "prometheus") {
+  if (format == MetricsFormat::prometheus) {
     telemetry::write_prometheus(os, snap);
   } else {
     snap.write_text(os);
   }
   json::Object result;
   result.emplace("body", json::Value(os.str()));
-  result.emplace("format", json::Value(format));
+  result.emplace("format", json::Value(std::string(to_string(format))));
   return json::to_text(json::Value(std::move(result)));
 }
 
@@ -261,7 +203,7 @@ ErrorType error_type_of(const std::exception& e) noexcept {
     return ErrorType::internal;
   }
   // Remaining contract violations are bad parameters (a generate request
-  // whose E is not co-prime with w, say), not daemon bugs.
+  // whose E is not co-prime with w, a prove with w = 15), not bugs.
   if (dynamic_cast<const contract_error*>(&e) != nullptr) {
     return ErrorType::config;
   }

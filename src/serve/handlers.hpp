@@ -22,7 +22,7 @@ class CancelSource;
 
 namespace wcm::serve {
 
-/// Daemon configuration (CLI flags of wcmd / `wcmgen serve`).
+/// Daemon configuration (the serve flags of wcmd / `wcmgen serve`).
 struct ServerConfig {
   /// Unix-domain socket: a filesystem path, or `@name` for the Linux
   /// abstract namespace (no file on disk, vanishes with the process).
@@ -54,7 +54,8 @@ class interrupted_error : public error {
 [[nodiscard]] std::string execute(const Request& req, const ServerConfig& cfg,
                                   runtime::CancelSource* drain);
 
-/// Map a caught handler exception onto the wire error taxonomy.
+/// Map a caught exception onto the error taxonomy: the wire's `error.type`
+/// in the daemon, and every front end's exit code (guarded_main).
 [[nodiscard]] ErrorType error_type_of(const std::exception& e) noexcept;
 
 }  // namespace wcm::serve

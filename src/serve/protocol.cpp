@@ -1,10 +1,8 @@
 #include "serve/protocol.hpp"
 
-#include <limits>
 #include <sstream>
-#include <vector>
 
-#include "gpusim/layout.hpp"
+#include "serve/ops.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/trace_context.hpp"
 #include "util/error.hpp"
@@ -41,110 +39,6 @@ bool is_batched_op(const std::string& op) {
 }
 
 namespace {
-
-/// Reject params outside `allowed` so a typo never silently becomes a
-/// default (same contract as wcmgen's require_known).
-void require_known_params(const std::string& op, const json::Object& params,
-                          const std::vector<const char*>& allowed) {
-  for (const auto& [key, value] : params) {
-    bool ok = false;
-    for (const char* a : allowed) {
-      ok = ok || key == a;
-    }
-    if (!ok) {
-      std::string pretty;
-      for (const char* a : allowed) {
-        pretty += pretty.empty() ? "" : ", ";
-        pretty += a;
-      }
-      throw parse_error("unknown param '" + key + "' for op '" + op +
-                        "' (valid: " + pretty + ")");
-    }
-  }
-}
-
-/// Comma-joined canonical form of a u32-list param (e.g. certify's bs).
-std::string join_u32_list(const std::vector<u32>& values) {
-  std::string out;
-  for (const u32 v : values) {
-    out += out.empty() ? "" : ",";
-    out += std::to_string(v);
-  }
-  return out;
-}
-
-/// Validate a layout name by round-tripping it through the gpusim parser
-/// (throws wcm::parse_error on garbage), returning the canonical spelling.
-std::string canonical_layout(const std::string& name) {
-  return gpusim::to_string(gpusim::parse_layout_kind(name));
-}
-
-std::string canonical_strategy(const std::string& name) {
-  if (name != "front-to-back" && name != "back-to-front" &&
-      name != "outside-in") {
-    throw parse_error("unknown value '" + name +
-                      "' for param 'strategy' (valid: front-to-back, "
-                      "back-to-front, outside-in)");
-  }
-  return name;
-}
-
-std::string canonical_generate(const json::Object& p) {
-  require_known_params("generate", p,
-                       {"E", "b", "w", "padding", "layout", "k", "seed",
-                        "strategy", "intra"});
-  constexpr u64 u32_max = std::numeric_limits<std::uint32_t>::max();
-  std::ostringstream os;
-  os << "generate|E=" << param_u64(p, "E", 15, u32_max)
-     << "|b=" << param_u64(p, "b", 512, u32_max)
-     << "|w=" << param_u64(p, "w", 32, u32_max)
-     << "|pad=" << param_u64(p, "padding", 0, u32_max)
-     << "|layout=" << canonical_layout(param_string(p, "layout", "linear"))
-     << "|k=" << param_u64(p, "k", 4, 40)
-     << "|seed=" << param_u64(p, "seed", 1)
-     << "|strategy="
-     << canonical_strategy(param_string(p, "strategy", "front-to-back"))
-     << "|intra=" << (param_bool(p, "intra", false) ? 1 : 0);
-  return os.str();
-}
-
-std::string canonical_prove(const json::Object& p) {
-  require_known_params("prove", p,
-                       {"engine", "w", "b", "pad", "layout", "E_min", "E_max",
-                        "any_E", "ways", "digit_bits"});
-  constexpr u64 u32_max = std::numeric_limits<std::uint32_t>::max();
-  std::ostringstream os;
-  os << "prove|engine=" << param_string(p, "engine", "all")
-     << "|w=" << param_u64(p, "w", 32, u32_max)
-     << "|b=" << param_u64(p, "b", 64, u32_max)
-     << "|pad=" << param_u64(p, "pad", 0, u32_max)
-     << "|layout=" << canonical_layout(param_string(p, "layout", "linear"))
-     << "|E_min=" << param_u64(p, "E_min", 3, u32_max)
-     << "|E_max=" << param_u64(p, "E_max", 0, u32_max)
-     << "|any_E=" << (param_bool(p, "any_E", false) ? 1 : 0)
-     << "|ways=" << param_u64(p, "ways", 4, u32_max)
-     << "|digit_bits=" << param_u64(p, "digit_bits", 4, u32_max);
-  return os.str();
-}
-
-std::string canonical_certify(const json::Object& p) {
-  require_known_params("certify", p,
-                       {"engine", "w", "bs", "pads", "layout", "E_min",
-                        "E_max", "any_E", "ways", "digit_bits"});
-  constexpr u64 u32_max = std::numeric_limits<std::uint32_t>::max();
-  std::ostringstream os;
-  os << "certify|engine=" << param_string(p, "engine", "shearsort")
-     << "|w=" << param_u64(p, "w", 32, u32_max)
-     << "|bs=" << join_u32_list(param_u32_list(p, "bs", {64}))
-     << "|pads=" << join_u32_list(param_u32_list(p, "pads", {0}))
-     << "|layout=" << canonical_layout(param_string(p, "layout", "linear"))
-     << "|E_min=" << param_u64(p, "E_min", 3, u32_max)
-     << "|E_max=" << param_u64(p, "E_max", 0, u32_max)
-     << "|any_E=" << (param_bool(p, "any_E", false) ? 1 : 0)
-     << "|ways=" << param_u64(p, "ways", 4, u32_max)
-     << "|digit_bits=" << param_u64(p, "digit_bits", 4, u32_max);
-  return os.str();
-}
 
 std::string canonical_campaign(const json::Object& p) {
   require_known_params("campaign", p, {"spec"});
@@ -195,21 +89,6 @@ void parse_trace_field(const json::Value& value, Request& req) {
   }
 }
 
-/// The metrics op accepts an optional exposition format; folding it into
-/// the canonical keeps "metrics" and "metrics|format=prometheus" as
-/// distinct inline results (admin ops bypass the cache, but the canonical
-/// still names the work in the event log and error messages).
-std::string canonical_metrics(const json::Object& p) {
-  require_known_params("metrics", p, {"format"});
-  const std::string format = param_string(p, "format", "json");
-  if (format != "json" && format != "text" && format != "prometheus") {
-    throw parse_error("unknown value '" + format +
-                      "' for param 'format' (valid: json, prometheus, "
-                      "text)");
-  }
-  return "metrics|format=" + format;
-}
-
 }  // namespace
 
 Request parse_request(const std::string& line) {
@@ -256,19 +135,24 @@ Request parse_request(const std::string& line) {
 
 std::string canonical_request(const Request& req) {
   if (req.op == "generate") {
-    return canonical_generate(req.params);
+    return canonical(req.op,
+                     params_from_json<GenerateParams>(req.op, req.params));
   }
   if (req.op == "prove") {
-    return canonical_prove(req.params);
+    return canonical(req.op, params_from_json<ProveParams>(req.op, req.params));
   }
   if (req.op == "certify") {
-    return canonical_certify(req.params);
+    return canonical(req.op,
+                     params_from_json<CertifyParams>(req.op, req.params));
   }
   if (req.op == "campaign") {
     return canonical_campaign(req.params);
   }
+  // The admin ops bypass the cache, but the canonical still names the
+  // work in the event log and error messages; metrics carries its format.
   if (req.op == "metrics") {
-    return canonical_metrics(req.params);
+    return canonical(req.op,
+                     params_from_json<MetricsParams>(req.op, req.params));
   }
   // Remaining admin ops take no params; their canonical is the op name.
   require_known_params(req.op, req.params, {});
@@ -293,67 +177,6 @@ std::string error_response(const std::string& id, ErrorType type,
   json::write_string(os, id);
   os << ",\"ok\":false}";
   return os.str();
-}
-
-u64 param_u64(const json::Object& params, const char* name, u64 fallback,
-              u64 max) {
-  const auto it = params.find(name);
-  if (it == params.end()) {
-    return fallback;
-  }
-  try {
-    return it->second.as_u64(max);
-  } catch (const parse_error& e) {
-    throw parse_error(std::string("param '") + name + "': " + e.what());
-  }
-}
-
-bool param_bool(const json::Object& params, const char* name, bool fallback) {
-  const auto it = params.find(name);
-  if (it == params.end()) {
-    return fallback;
-  }
-  try {
-    return it->second.as_bool();
-  } catch (const parse_error& e) {
-    throw parse_error(std::string("param '") + name + "': " + e.what());
-  }
-}
-
-std::string param_string(const json::Object& params, const char* name,
-                         const std::string& fallback) {
-  const auto it = params.find(name);
-  if (it == params.end()) {
-    return fallback;
-  }
-  try {
-    return it->second.as_string();
-  } catch (const parse_error& e) {
-    throw parse_error(std::string("param '") + name + "': " + e.what());
-  }
-}
-
-std::vector<u32> param_u32_list(const json::Object& params, const char* name,
-                                std::vector<u32> fallback) {
-  const auto it = params.find(name);
-  if (it == params.end()) {
-    return fallback;
-  }
-  try {
-    const json::Array& items = it->second.as_array();
-    if (items.empty()) {
-      throw parse_error("list must not be empty");
-    }
-    std::vector<u32> out;
-    out.reserve(items.size());
-    for (const json::Value& v : items) {
-      out.push_back(static_cast<u32>(
-          v.as_u64(std::numeric_limits<std::uint32_t>::max())));
-    }
-    return out;
-  } catch (const parse_error& e) {
-    throw parse_error(std::string("param '") + name + "': " + e.what());
-  }
 }
 
 }  // namespace wcm::serve

@@ -31,9 +31,7 @@
 // applied, fields in fixed order, tenant and id excluded.  Two requests
 // with equal canonicals are the same work by construction.
 
-#include <limits>
 #include <string>
-#include <vector>
 
 #include "util/json.hpp"
 #include "util/math.hpp"
@@ -107,23 +105,5 @@ struct Request {
 [[nodiscard]] std::string error_response(const std::string& id,
                                          ErrorType type,
                                          const std::string& message);
-
-// Typed param accessors shared by canonical_request() and the handlers —
-// one defaulting rule, applied in both places, or the canonical string
-// and the executed work could drift apart.  All throw wcm::parse_error
-// naming the param on a wrong type or out-of-range value.
-
-[[nodiscard]] u64 param_u64(const json::Object& params, const char* name,
-                            u64 fallback,
-                            u64 max = std::numeric_limits<u64>::max());
-[[nodiscard]] bool param_bool(const json::Object& params, const char* name,
-                              bool fallback);
-[[nodiscard]] std::string param_string(const json::Object& params,
-                                       const char* name,
-                                       const std::string& fallback);
-/// Non-empty list of u32 (certify's bs/pads grid axes).
-[[nodiscard]] std::vector<u32> param_u32_list(const json::Object& params,
-                                              const char* name,
-                                              std::vector<u32> fallback);
 
 }  // namespace wcm::serve

@@ -823,7 +823,30 @@ extern "C" void serve_on_signal(int) {
 
 }  // namespace
 
-int run_server(Server& server, bool quiet) {
+std::vector<cli::Flag> serve_flags() {
+  return {{"socket"},    {"data-dir"},        {"threads"},
+          {"queue-max"}, {"batch-max"},       {"max-connections"},
+          {"eventlog"},  {"quiet", false}};
+}
+
+int run_server(const cli::Args& args) {
+  ServerConfig cfg;
+  cfg.socket = args.get("socket", cfg.socket);
+  cfg.data_dir = args.get("data-dir", cfg.data_dir);
+  cfg.threads = args.get_u32("threads", cfg.threads);
+  cfg.queue_max = args.get_u64("queue-max", cfg.queue_max, 1 << 20);
+  cfg.batch_max = args.get_u64("batch-max", cfg.batch_max, 1 << 20);
+  cfg.max_connections =
+      args.get_u64("max-connections", cfg.max_connections, 1 << 20);
+  if (cfg.queue_max == 0 || cfg.batch_max == 0 || cfg.max_connections == 0) {
+    throw parse_error(
+        "--queue-max, --batch-max, and --max-connections must be >= 1");
+  }
+  if (args.has("eventlog")) {
+    telemetry::eventlog::set_path(args.get("eventlog", ""));
+  }
+  const bool quiet = args.has("quiet");
+  Server server(cfg);
   if (quiet) {
     server.set_log(nullptr);
   }
@@ -855,6 +878,104 @@ int run_server(Server& server, bool quiet) {
   // The zero-drop invariant: every request line read was answered (write
   // *attempts* count — a vanished client is not a dropped response).
   return stats->requests == stats->responses ? 0 : 5;
+}
+
+namespace {
+
+constexpr const char* kDaemonUsage =
+    R"(wcmd — long-running adversarial-input daemon (docs/SERVE.md)
+
+usage: wcmd [--socket path|@name] [--data-dir dir] [--threads n]
+            [--queue-max n] [--batch-max n] [--max-connections n]
+            [--eventlog file.jsonl] [--quiet]
+
+  --socket           Unix-domain socket to serve on; a leading '@' selects
+                     the Linux abstract namespace (default @wcmd)
+  --data-dir         durable state: WCMS response cache + campaign
+                     journals (default: in-memory only)
+  --threads          scheduler workers (default WCM_THREADS, else 1)
+  --queue-max        admission queue bound before load-shedding (256)
+  --batch-max        max requests per scheduler batch (16)
+  --max-connections  concurrent client bound before load-shedding (64)
+  --eventlog         append structured JSONL request events with
+                     correlation ids (also WCM_EVENTLOG;
+                     docs/TELEMETRY.md "Request tracing")
+  --quiet            suppress startup/drain log lines
+
+The same daemon runs as `wcmgen serve`.  SIGINT/SIGTERM drain
+gracefully.  Exit codes: 0 clean drain, 2 usage, 3 socket error,
+5 drain invariant violated.
+)";
+
+}  // namespace
+
+int daemon_main(int argc, char** argv) {
+  return guarded_main("wcmd", [&] {
+    std::vector<std::string> tokens = cli::tokens(argc, argv, 1);
+    for (std::string& t : tokens) {
+      t = t == "-h" ? "--help" : t == "-V" ? "--version" : t;
+    }
+    std::vector<cli::Flag> flags = serve_flags();
+    flags.push_back({"version", false});
+    const cli::Args args(tokens, flags, "wcmd");
+    if (args.has("help")) {
+      std::cout << kDaemonUsage;
+      return 0;
+    }
+    if (args.has("version")) {
+      std::cout << "wcmd " << version_string() << " (" << build_describe()
+                << ")\n";
+      return 0;
+    }
+    return run_server(args);
+  });
+}
+
+int guarded_main(const std::string& program,
+                 const std::function<int()>& body) {
+  // WCM_TRACE_OUT / WCM_TELEMETRY / WCM_EVENTLOG work for every command
+  // (docs/TELEMETRY.md).
+  telemetry::configure_from_env();
+  telemetry::eventlog::configure_from_env();
+  int code = 0;
+  try {
+    // A malformed WCM_FAILPOINTS is a usage error up front, not a lazy
+    // parse failing mid-run inside a worker.
+    failpoint::configure_from_env();
+    code = body();
+  } catch (const std::exception& e) {
+    // The exit-code table of docs/API.md, over the daemon's error classes.
+    switch (error_type_of(e)) {
+      case ErrorType::parse:
+        std::cerr << "usage error: " << e.what() << "\n(run '" << program
+                  << " --help' for the full synopsis)\n";
+        code = 2;
+        break;
+      case ErrorType::io:
+        std::cerr << "input error: " << e.what() << "\n";
+        code = 3;
+        break;
+      case ErrorType::config:
+        std::cerr << "config error: " << e.what() << "\n";
+        code = 4;
+        break;
+      default:
+        if (const auto* err = dynamic_cast<const wcm::error*>(&e)) {
+          std::cerr << "internal error [" << to_string(err->code())
+                    << "]: " << e.what() << "\n";
+        } else {
+          std::cerr << "internal error: " << e.what() << "\n";
+        }
+        code = 5;
+    }
+  } catch (...) {
+    std::cerr << "internal error: unknown exception\n";
+    code = 5;
+  }
+  // A failed trace export only warns: observability must not fail the run
+  // it observed.
+  telemetry::flush_trace(&std::cerr);
+  return code;
 }
 
 }  // namespace wcm::serve

@@ -22,11 +22,15 @@
 // through the drain CancelSource and journal their completed prefix, so
 // resubmitting the identical request resumes rather than recomputes.
 
+#include <functional>
 #include <iosfwd>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "runtime/scheduler.hpp"
 #include "serve/handlers.hpp"
+#include "util/cli.hpp"
 #include "util/math.hpp"
 
 namespace wcm::serve {
@@ -67,12 +71,26 @@ class Server {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Shared main() body of wcmd and `wcmgen serve`: install SIGINT/SIGTERM
-/// drain handlers (restored on return), serve, print the drain summary,
-/// and map the zero-drop invariant onto the exit code (0 when every read
-/// request got a response attempt, 5 otherwise).  Exceptions propagate
-/// for the caller's taxonomy mapping.
-int run_server(Server& server, bool quiet);
+/// The daemon's flags, shared by wcmd and `wcmgen serve`.
+[[nodiscard]] std::vector<cli::Flag> serve_flags();
+
+/// The serve entry of wcmd and `wcmgen serve`: build the ServerConfig from
+/// `args` (parsed against serve_flags()), install SIGINT/SIGTERM drain
+/// handlers (restored on return), serve, print the drain summary, and map
+/// the zero-drop invariant onto the exit code (0 when every read request
+/// got a response attempt, 5 otherwise).  Throws wcm::parse_error on a
+/// zero bound and wcm::io_error when the socket cannot be bound.
+int run_server(const cli::Args& args);
+
+/// main() of wcmd: the serve flags, or --help / --version.
+int daemon_main(int argc, char** argv);
+
+/// The main() body the front ends share: configure telemetry, the event
+/// log and failpoints from the environment, run `body`, turn an escaping
+/// exception into one diagnostic (naming `program` on usage errors) and
+/// the exit code of its error_type_of() class, then flush the span trace.
+int guarded_main(const std::string& program,
+                 const std::function<int()>& body);
 
 namespace detail {
 // The daemon's failpoint sites, as free functions so the fault-injection

@@ -39,8 +39,8 @@ struct SortConfig {
   /// Optional shared-memory access-trace capture: when non-null, every
   /// engine attaches this recorder to its block-local SharedMemory, so the
   /// whole sort's access stream (with barrier and fill markers) lands in
-  /// one Trace for `wcm::analyze` / `wcm-lint` (see docs/LINT.md).  Not
-  /// part of the simulated machine; ignored by validate()/to_string().
+  /// one Trace for `wcm::analyze` / `wcmgen analyze` (see docs/LINT.md).
+  /// Not part of the simulated machine; ignored by validate()/to_string().
   gpusim::TraceRecorder* trace_sink = nullptr;
 
   /// Elements per thread-block tile (bE).

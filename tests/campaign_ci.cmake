@@ -4,11 +4,10 @@
 # invalidate every entry, and every per-cell trace must lint clean.  The
 # exit-code contract for campaign specs is probed at the end.
 #
-# Run as:  cmake -DWCMGEN=<bin> -DWCMLINT=<bin> -DWORKDIR=<dir>
-#                -P campaign_ci.cmake
+# Run as:  cmake -DWCMGEN=<bin> -DWORKDIR=<dir> -P campaign_ci.cmake
 
-if(NOT DEFINED WCMGEN OR NOT DEFINED WCMLINT OR NOT DEFINED WORKDIR)
-  message(FATAL_ERROR "pass -DWCMGEN=<bin> -DWCMLINT=<bin> -DWORKDIR=<dir>")
+if(NOT DEFINED WCMGEN OR NOT DEFINED WORKDIR)
+  message(FATAL_ERROR "pass -DWCMGEN=<bin> -DWORKDIR=<dir>")
 endif()
 
 file(MAKE_DIRECTORY ${WORKDIR})
@@ -98,7 +97,7 @@ if(NOT n_traces EQUAL 5)
   message(FATAL_ERROR "expected 5 cell traces, found ${n_traces}")
 endif()
 foreach(trace ${cell_traces})
-  expect_exit(0 ${WCMLINT} ${trace})
+  expect_exit(0 ${WCMGEN} analyze ${trace})
 endforeach()
 
 # 6. Exit-code contract: 2 usage, 3 bad spec file, 4 bad configuration.

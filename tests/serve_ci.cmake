@@ -16,7 +16,9 @@
 #      journaled prefix (serve.campaign.replayed) and converges to the
 #      clean reference bytes;
 #   6. an injected dispatch fault answers `internal` exactly once and is
-#      never cached — the identical resend computes fresh and succeeds.
+#      never cached — the identical resend computes fresh and succeeds;
+#
+# and, first, that an unknown flag is a usage error naming the flag.
 #
 # Run as:  cmake -DWCMD=<bin> -DLOADGEN=<bin> -DWORKDIR=<dir>
 #                -P serve_ci.cmake
@@ -48,6 +50,15 @@ function(require_match file pattern why)
     message(FATAL_ERROR "${why}\npattern: ${pattern}\nin ${file}:\n${contents}")
   endif()
 endfunction()
+
+# ---- 0. usage: an unknown flag exits 2 with a message naming it ----------
+
+execute_process(COMMAND ${WCMD} --frob
+                RESULT_VARIABLE rv OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rv EQUAL 2 OR NOT err MATCHES "unknown flag '--frob'")
+  message(FATAL_ERROR
+    "wcmd --frob: expected exit 2 naming the flag, got ${rv}: ${err}")
+endif()
 
 # ---- 1. determinism across cache states, restarts, and thread counts ------
 

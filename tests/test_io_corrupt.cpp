@@ -180,8 +180,8 @@ TEST_F(IoCorruptTest, WriterEmitsV2ReaderRoundTrips) {
 }
 
 // The WCMT trace reader gets the same treatment: every malformed stream is
-// a typed wcm::parse_error.  (wcm-lint maps these to exit code 3; see
-// docs/LINT.md for the grammar.)
+// a typed wcm::parse_error.  (`wcmgen analyze` maps these to exit code 3;
+// see docs/LINT.md for the grammar.)
 TEST(TraceCorrupt, CorpusThrowsTypedParseError) {
   struct Case {
     const char* name;

@@ -29,6 +29,17 @@ constexpr const char* kSmallSpec = R"({
   ]
 })";
 
+/// kSmallSpec's shape on the mgpu merge-path library.
+constexpr const char* kMgpuSpec = R"({
+  "name": "unit-mgpu",
+  "device": "m4000",
+  "seed": 7,
+  "grid": [
+    {"engine": "pairwise", "library": "mgpu", "E": 3, "b": 64,
+     "input": ["random", "worst-case"], "k": [1, 2]}
+  ]
+})";
+
 TEST(CampaignSpecParse, AcceptsTheFullGrammar) {
   const auto spec = parse_campaign_spec(R"({
     "name": "full",
@@ -129,46 +140,49 @@ TEST(CampaignExpand, ValidatesCellsAgainstConfigAndDevice) {
 }
 
 TEST(CampaignRun, ByteIdenticalAcrossThreadCountsAndCacheStates) {
-  const auto spec = parse_campaign_spec(kSmallSpec);
-  CampaignOptions serial;
-  serial.threads = 1;
-  serial.use_cache = false;
-  const auto ref = run_campaign(spec, serial);
-  EXPECT_EQ(ref.cells, 4u);
-  EXPECT_EQ(ref.computed, 4u);
-  EXPECT_EQ(ref.cache_hits, 0u);
+  for (const char* text : {kSmallSpec, kMgpuSpec}) {
+    const auto spec = parse_campaign_spec(text);
+    SCOPED_TRACE(spec.name);
+    CampaignOptions serial;
+    serial.threads = 1;
+    serial.use_cache = false;
+    const auto ref = run_campaign(spec, serial);
+    EXPECT_EQ(ref.cells, 4u);
+    EXPECT_EQ(ref.computed, 4u);
+    EXPECT_EQ(ref.cache_hits, 0u);
 
-  CampaignOptions parallel;
-  parallel.threads = 4;
-  parallel.use_cache = false;
-  const auto wide = run_campaign(spec, parallel);
-  EXPECT_EQ(wide.threads, 4u);
-  EXPECT_EQ(ref.json, wide.json);  // the headline determinism guarantee
+    CampaignOptions parallel;
+    parallel.threads = 4;
+    parallel.use_cache = false;
+    const auto wide = run_campaign(spec, parallel);
+    EXPECT_EQ(wide.threads, 4u);
+    EXPECT_EQ(ref.json, wide.json);  // the headline determinism guarantee
 
-  // With a cache file: cold run computes, warm run hits 100%, output is
-  // still byte-identical.
-  const auto cache_path = std::filesystem::temp_directory_path() /
-                          "wcm_campaign_unit.wcmc";
-  std::filesystem::remove(cache_path);
-  CampaignOptions cached;
-  cached.threads = 4;
-  cached.cache_path = cache_path;
-  const auto cold = run_campaign(spec, cached);
-  EXPECT_EQ(cold.computed, 4u);
-  const auto warm = run_campaign(spec, cached);
-  EXPECT_EQ(warm.computed, 0u);
-  EXPECT_EQ(warm.cache_hits, 4u);
-  EXPECT_EQ(ref.json, cold.json);
-  EXPECT_EQ(ref.json, warm.json);
+    // With a cache file: cold run computes, warm run hits 100%, output is
+    // still byte-identical.
+    const auto cache_path = std::filesystem::temp_directory_path() /
+                            "wcm_campaign_unit.wcmc";
+    std::filesystem::remove(cache_path);
+    CampaignOptions cached;
+    cached.threads = 4;
+    cached.cache_path = cache_path;
+    const auto cold = run_campaign(spec, cached);
+    EXPECT_EQ(cold.computed, 4u);
+    const auto warm = run_campaign(spec, cached);
+    EXPECT_EQ(warm.computed, 0u);
+    EXPECT_EQ(warm.cache_hits, 4u);
+    EXPECT_EQ(ref.json, cold.json);
+    EXPECT_EQ(ref.json, warm.json);
 
-  // A code-version salt change invalidates every entry.
-  setenv("WCM_CACHE_SALT", "unit-test-bump", 1);
-  const auto invalidated = run_campaign(spec, cached);
-  unsetenv("WCM_CACHE_SALT");
-  EXPECT_EQ(invalidated.computed, 4u);
-  EXPECT_EQ(invalidated.cache_hits, 0u);
-  EXPECT_EQ(ref.json, invalidated.json);
-  std::filesystem::remove(cache_path);
+    // A code-version salt change invalidates every entry.
+    setenv("WCM_CACHE_SALT", "unit-test-bump", 1);
+    const auto invalidated = run_campaign(spec, cached);
+    unsetenv("WCM_CACHE_SALT");
+    EXPECT_EQ(invalidated.computed, 4u);
+    EXPECT_EQ(invalidated.cache_hits, 0u);
+    EXPECT_EQ(ref.json, invalidated.json);
+    std::filesystem::remove(cache_path);
+  }
 }
 
 TEST(CampaignRun, AggregateJsonCarriesSeriesAndSlowdowns) {

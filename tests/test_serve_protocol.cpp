@@ -218,6 +218,34 @@ TEST(ServeProtocol, CanonicalCertifyJoinsGridAxes) {
                parse_error);  // empty grid axis
 }
 
+// ---- execute --------------------------------------------------------------
+
+// The daemon's prove op and `wcmgen prove --json` read the same param
+// declaration and render through the same prover, so a request with only
+// engine and pad set must answer exactly the committed CLI goldens
+// (re-serialized, as the daemon renders one sorted-key line).
+TEST(ServeExecute, ProveMatchesTheCliGoldens) {
+  for (const char* engine : {"blocksort", "block-merge", "pairwise",
+                             "multiway", "bitonic", "radix", "scan",
+                             "shearsort"}) {
+    for (const int pad : {0, 1}) {
+      const std::string golden_path = std::string(WCM_GOLDEN_DIR) +
+                                      "/prove_" + engine + "_pad" +
+                                      std::to_string(pad) + ".json";
+      std::ifstream is(golden_path);
+      ASSERT_TRUE(is) << golden_path;
+      const std::string golden((std::istreambuf_iterator<char>(is)),
+                               std::istreambuf_iterator<char>());
+      const Request req = req_of(
+          std::string(R"({"op":"prove","params":{"engine":")") + engine +
+          R"(","pad":)" + std::to_string(pad) + "}}");
+      EXPECT_EQ(execute(req, ServerConfig{}, nullptr),
+                json::to_text(json::parse(golden)))
+          << engine << " pad " << pad;
+    }
+  }
+}
+
 // ---- responses ------------------------------------------------------------
 
 TEST(ServeProtocol, RendersResponses) {

@@ -35,6 +35,8 @@ expect_exit(2 ${WCMGEN} sort --E 5 --b 64 --layout nope)
 expect_exit(2 ${WCMGEN} prove --layout nope)
 expect_exit(2 ${WCMGEN} prove --certify --bs 64x)
 expect_exit(2 ${WCMGEN} prove --bs 64,128)  # grid axes need --certify
+# a switch never takes the next token: the stray 7 is refused
+expect_exit(2 ${WCMGEN} prove --any-E 7)
 
 # The unknown-engine diagnostic must enumerate the registry (one list in
 # prove.cpp feeds the error, all_engines(), and the describers), so a new
@@ -78,6 +80,8 @@ expect_exit(2 ${WCMGEN} serve --no-such-flag x)
 
 # bad configuration -> 4
 expect_exit(4 ${WCMGEN} generate --E 0 --b 64)
+expect_exit(4 ${WCMGEN} prove --w 15)              # w not a power of two
+expect_exit(4 ${WCMGEN} prove --b 7)               # b not a power of two
 expect_exit(4 ${WCMGEN} sort --E 5 --b 32 --w 32)   # b < 2w
 expect_exit(4 ${WCMGEN} sort --E 5 --b 63)          # b not a power of two
 
@@ -113,6 +117,7 @@ expect_exit(5 ${CMAKE_COMMAND} -E env WCM_FAILPOINTS=sim.smem.alloc
             ${WCMGEN} sort --E 5 --b 64 --k 1)
 
 # happy path: generate, inspect round-trip -> 0
+expect_exit(0 ${WCMGEN} generate --E 5 --b 64 --k 1 --layout xor)
 expect_exit(0 ${WCMGEN} generate --E 5 --b 64 --k 1
             --out ${WORKDIR}/exitcode_ok.wcmi)
 expect_exit(0 ${WCMGEN} inspect --in ${WORKDIR}/exitcode_ok.wcmi)
@@ -136,6 +141,9 @@ file(WRITE ${WORKDIR}/exitcode_campaign.json
 expect_exit(6 ${CMAKE_COMMAND} -E env WCM_FAILPOINTS=runtime.worker.job
             ${WCMGEN} campaign ${WORKDIR}/exitcode_campaign.json
             --threads 1 --no-cache --quiet)
+# the spec operand may follow a switch (--quiet takes no value)
+expect_exit(0 ${WCMGEN} campaign --quiet ${WORKDIR}/exitcode_campaign.json
+            --no-cache)
 
 file(REMOVE ${WORKDIR}/exitcode_corrupt.wcmi ${WORKDIR}/exitcode_ok.wcmi
      ${WORKDIR}/exitcode_campaign.json

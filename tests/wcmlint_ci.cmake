@@ -1,18 +1,17 @@
 # Lint gate for every sort engine (ISSUE acceptance): record shared-memory
 # traces from blocksort, pairwise, multiway, bitonic, and radix on random
 # and adversarial inputs — small-E (5) and large-E (17) — and require
-# `wcm-lint` to report zero diagnostics (races, bounds, uninitialized
+# `wcmgen analyze` to report zero diagnostics (races, bounds, uninitialized
 # reads, and stride-prediction divergence are all errors).  A seeded-race
 # fixture must exit 1 and a corrupt stream must exit 3, proving the gate
 # can actually fail.
 #
-# Run as:  cmake -DWCMGEN=<bin> -DWCMLINT=<bin> -DTRACE_EXPLORER=<bin>
-#                -DWORKDIR=<dir> -P wcmlint_ci.cmake
+# Run as:  cmake -DWCMGEN=<bin> -DTRACE_EXPLORER=<bin> -DWORKDIR=<dir>
+#                -P wcmlint_ci.cmake
 
-if(NOT DEFINED WCMGEN OR NOT DEFINED WCMLINT OR NOT DEFINED TRACE_EXPLORER
-   OR NOT DEFINED WORKDIR)
+if(NOT DEFINED WCMGEN OR NOT DEFINED TRACE_EXPLORER OR NOT DEFINED WORKDIR)
   message(FATAL_ERROR
-    "pass -DWCMGEN=<bin> -DWCMLINT=<bin> -DTRACE_EXPLORER=<bin> -DWORKDIR=<dir>")
+    "pass -DWCMGEN=<bin> -DTRACE_EXPLORER=<bin> -DWORKDIR=<dir>")
 endif()
 
 file(MAKE_DIRECTORY ${WORKDIR})
@@ -34,8 +33,8 @@ endfunction()
 function(lint_clean name)
   set(trace ${WORKDIR}/${name}.wcmt)
   expect_exit(0 ${WCMGEN} sort ${ARGN} --trace-out ${trace})
-  expect_exit(0 ${WCMLINT} ${trace})
-  expect_exit(0 ${WCMLINT} --pad 1 ${trace})
+  expect_exit(0 ${WCMGEN} analyze ${trace})
+  expect_exit(0 ${WCMGEN} analyze --pad 1 ${trace})
   file(REMOVE ${trace})
 endfunction()
 
@@ -73,31 +72,31 @@ execute_process(COMMAND ${TRACE_EXPLORER} 5 64 ${WORKDIR}/blocksort.wcmt
 if(NOT rv EQUAL 0)
   message(FATAL_ERROR "trace_explorer failed: ${err}")
 endif()
-expect_exit(0 ${WCMLINT} ${WORKDIR}/blocksort.wcmt)
+expect_exit(0 ${WCMGEN} analyze ${WORKDIR}/blocksort.wcmt)
 file(REMOVE ${WORKDIR}/blocksort.wcmt)
 
 # Seeded race: a store and a load of the same address by different lanes
 # with no intervening barrier must be flagged (exit 1).
 file(WRITE ${WORKDIR}/seeded_race.wcmt
      "WCMT2 32 64 3\nF 0 64\nW 0:5\nR 1:5\n")
-expect_exit(1 ${WCMLINT} ${WORKDIR}/seeded_race.wcmt)
-expect_exit(1 ${WCMLINT} --json ${WORKDIR}/seeded_race.wcmt)
+expect_exit(1 ${WCMGEN} analyze ${WORKDIR}/seeded_race.wcmt)
+expect_exit(1 ${WCMGEN} analyze --json ${WORKDIR}/seeded_race.wcmt)
 
 # The same pair separated by a barrier is clean.
 file(WRITE ${WORKDIR}/barriered.wcmt
      "WCMT2 32 64 4\nF 0 64\nW 0:5\nB\nR 1:5\n")
-expect_exit(0 ${WCMLINT} ${WORKDIR}/barriered.wcmt)
+expect_exit(0 ${WCMGEN} analyze ${WORKDIR}/barriered.wcmt)
 
 # Corrupt / missing streams -> 3 (dominating the racy file's 1).
 file(WRITE ${WORKDIR}/corrupt.wcmt "WCMT2 32 64 2\nR 0:1\n")
-expect_exit(3 ${WCMLINT} ${WORKDIR}/corrupt.wcmt)
-expect_exit(3 ${WCMLINT} ${WORKDIR}/corrupt.wcmt ${WORKDIR}/seeded_race.wcmt)
-expect_exit(3 ${WCMLINT} ${WORKDIR}/definitely-missing.wcmt)
+expect_exit(3 ${WCMGEN} analyze ${WORKDIR}/corrupt.wcmt)
+expect_exit(3 ${WCMGEN} analyze ${WORKDIR}/corrupt.wcmt ${WORKDIR}/seeded_race.wcmt)
+expect_exit(3 ${WCMGEN} analyze ${WORKDIR}/definitely-missing.wcmt)
 
 # Usage errors -> 2.
-expect_exit(2 ${WCMLINT})
-expect_exit(2 ${WCMLINT} --frobnicate ${WORKDIR}/seeded_race.wcmt)
-expect_exit(2 ${WCMLINT} --pad nope ${WORKDIR}/seeded_race.wcmt)
+expect_exit(2 ${WCMGEN} analyze)
+expect_exit(2 ${WCMGEN} analyze --frobnicate ${WORKDIR}/seeded_race.wcmt)
+expect_exit(2 ${WCMGEN} analyze --pad nope ${WORKDIR}/seeded_race.wcmt)
 
 file(REMOVE ${WORKDIR}/seeded_race.wcmt ${WORKDIR}/barriered.wcmt
      ${WORKDIR}/corrupt.wcmt)

@@ -5,15 +5,14 @@
 # any change to a derived bound is a reviewed diff, not a silent drift.
 # A recorded pairwise trace must certify against its bounds; a fabricated
 # stride-w store must be flagged (exit 1); corrupt and missing traces must
-# exit 3 and usage errors 2, proving the gate can actually fail.
+# exit 3, usage errors 2 and shape violations 4, proving the gate can
+# actually fail.
 #
-# Run as:  cmake -DWCMGEN=<bin> -DWCMPROVE=<bin> -DWORKDIR=<dir>
-#                -DGOLDEN_DIR=<dir> -P wcmprove_ci.cmake
+# Run as:  cmake -DWCMGEN=<bin> -DWORKDIR=<dir> -DGOLDEN_DIR=<dir>
+#                -P wcmprove_ci.cmake
 
-if(NOT DEFINED WCMGEN OR NOT DEFINED WCMPROVE OR NOT DEFINED WORKDIR
-   OR NOT DEFINED GOLDEN_DIR)
-  message(FATAL_ERROR
-    "pass -DWCMGEN=<bin> -DWCMPROVE=<bin> -DWORKDIR=<dir> -DGOLDEN_DIR=<dir>")
+if(NOT DEFINED WCMGEN OR NOT DEFINED WORKDIR OR NOT DEFINED GOLDEN_DIR)
+  message(FATAL_ERROR "pass -DWCMGEN=<bin> -DWORKDIR=<dir> -DGOLDEN_DIR=<dir>")
 endif()
 
 file(MAKE_DIRECTORY ${WORKDIR})
@@ -33,8 +32,8 @@ endfunction()
 # Prove one engine clean under one pad and diff its JSON report against
 # the committed golden.
 function(prove_golden engine pad)
-  expect_exit(0 ${WCMPROVE} --engine ${engine} --pad ${pad})
-  execute_process(COMMAND ${WCMPROVE} --engine ${engine} --pad ${pad} --json
+  expect_exit(0 ${WCMGEN} prove --engine ${engine} --pad ${pad})
+  execute_process(COMMAND ${WCMGEN} prove --engine ${engine} --pad ${pad} --json
                   RESULT_VARIABLE rv
                   OUTPUT_VARIABLE out
                   ERROR_VARIABLE err)
@@ -61,17 +60,6 @@ foreach(engine blocksort block-merge pairwise multiway bitonic radix scan
   endforeach()
 endforeach()
 
-# The wcmgen front end must agree with the standalone binary byte for byte.
-execute_process(COMMAND ${WCMGEN} prove --engine pairwise --json
-                RESULT_VARIABLE rv OUTPUT_VARIABLE via_wcmgen ERROR_QUIET)
-if(NOT rv EQUAL 0)
-  message(FATAL_ERROR "wcmgen prove --json failed (${rv})")
-endif()
-execute_process(COMMAND ${WCMPROVE} --engine pairwise --json
-                RESULT_VARIABLE rv OUTPUT_VARIABLE via_prove ERROR_QUIET)
-if(NOT rv EQUAL 0 OR NOT via_wcmgen STREQUAL via_prove)
-  message(FATAL_ERROR "wcmgen prove and wcm-prove disagree on pairwise JSON")
-endif()
 expect_exit(0 ${WCMGEN} prove)
 
 # Dynamic certification: a recorded pairwise trace must stay within the
@@ -79,9 +67,9 @@ expect_exit(0 ${WCMGEN} prove)
 set(trace ${WORKDIR}/pairwise.wcmt)
 expect_exit(0 ${WCMGEN} sort --E 5 --b 64 --k 2 --input worst-case
             --trace-out ${trace})
-expect_exit(0 ${WCMPROVE} --engine pairwise --E-min 5 --E-max 5
+expect_exit(0 ${WCMGEN} prove --engine pairwise --E-min 5 --E-max 5
             --trace ${trace})
-expect_exit(0 ${WCMPROVE} --engine pairwise --E-min 5 --E-max 5 --pad 1
+expect_exit(0 ${WCMGEN} prove --engine pairwise --E-min 5 --E-max 5 --pad 1
             --trace ${trace})
 
 # A fabricated stride-w store (all 32 lanes in bank 0) exceeds every
@@ -92,8 +80,8 @@ foreach(lane RANGE 31)
   string(APPEND line " ${lane}:${addr}")
 endforeach()
 file(WRITE ${WORKDIR}/overbound.wcmt "WCMT2 32 1024 2\nF 0 1024\n${line}\n")
-expect_exit(1 ${WCMPROVE} --engine pairwise --trace ${WORKDIR}/overbound.wcmt)
-execute_process(COMMAND ${WCMPROVE} --engine pairwise --json
+expect_exit(1 ${WCMGEN} prove --engine pairwise --trace ${WORKDIR}/overbound.wcmt)
+execute_process(COMMAND ${WCMGEN} prove --engine pairwise --json
                         --trace ${WORKDIR}/overbound.wcmt
                 RESULT_VARIABLE rv OUTPUT_VARIABLE out ERROR_QUIET)
 if(NOT rv EQUAL 1 OR NOT out MATCHES "symbolic-divergence")
@@ -103,17 +91,18 @@ endif()
 
 # Corrupt / missing trace files -> 3.
 file(WRITE ${WORKDIR}/corrupt.wcmt "WCMT2 32 64 2\nR 0:1\n")
-expect_exit(3 ${WCMPROVE} --engine pairwise --trace ${WORKDIR}/corrupt.wcmt)
-expect_exit(3 ${WCMPROVE} --engine pairwise
+expect_exit(3 ${WCMGEN} prove --engine pairwise --trace ${WORKDIR}/corrupt.wcmt)
+expect_exit(3 ${WCMGEN} prove --engine pairwise
             --trace ${WORKDIR}/definitely-missing.wcmt)
 
 # Usage errors -> 2.
-expect_exit(2 ${WCMPROVE} --engine quicksort)
-expect_exit(2 ${WCMPROVE} --frobnicate)
-expect_exit(2 ${WCMPROVE} --w nope)
-expect_exit(2 ${WCMPROVE} --w 15)
-expect_exit(2 ${WCMPROVE} --trace ${trace})
 expect_exit(2 ${WCMGEN} prove --engine quicksort)
+expect_exit(2 ${WCMGEN} prove --frobnicate)
+expect_exit(2 ${WCMGEN} prove --w nope)
+expect_exit(2 ${WCMGEN} prove --trace ${trace})
 expect_exit(2 ${WCMGEN} prove --frobnicate 1)
+
+# A shape the engines reject (w not a power of two) is bad configuration.
+expect_exit(4 ${WCMGEN} prove --w 15)
 
 file(REMOVE ${trace} ${WORKDIR}/overbound.wcmt ${WORKDIR}/corrupt.wcmt)
