@@ -20,8 +20,7 @@
 
 #include "gpusim/device.hpp"
 #include "gpusim/layout.hpp"
-#include "sort/pairwise_sort.hpp"
-#include "sort/shearsort.hpp"
+#include "sort/engines.hpp"
 #include "util/error.hpp"
 #include "workload/inputs.hpp"
 
@@ -86,10 +85,8 @@ int run(int argc, char** argv) {
       sort::SortConfig cfg = base;
       cfg.padding = v.pad;
       cfg.layout = v.layout;
-      const auto report =
-          v.engine == std::string("pairwise")
-              ? sort::pairwise_merge_sort(*input, cfg, dev)
-              : sort::shearsort(*input, cfg, dev);
+      const auto report = sort::find_sorting_engine(v.engine).run(*input, cfg,
+                                                                  dev);
       Cell cell;
       cell.variant = &v;
       cell.input = name;
@@ -134,7 +131,8 @@ int run(int argc, char** argv) {
                 << " claims immunity but replayed " << w.replays << "\n";
       ok = false;
     }
-    if (v.defended && v.engine == std::string("pairwise") &&
+    // Defenses of the attacked engine (the immune ones are checked above).
+    if (v.defended && !v.immune &&
         w.final_round_beta2 >= exposed.final_round_beta2 / 1.5) {
       std::cerr << "FAILED: defense " << gpusim::to_string(v.layout)
                 << " pad " << v.pad << " does not collapse the attacked "

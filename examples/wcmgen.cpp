@@ -38,11 +38,7 @@
 #include "serve/client.hpp"
 #include "serve/ops.hpp"
 #include "serve/server.hpp"
-#include "sort/bitonic.hpp"
-#include "sort/multiway.hpp"
-#include "sort/pairwise_sort.hpp"
-#include "sort/radix.hpp"
-#include "sort/shearsort.hpp"
+#include "sort/engines.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/span.hpp"
 #include "util/cli.hpp"
@@ -78,7 +74,7 @@ subcommands:
              --E n --b n [--w n] [--padding n] [--k n] [--seed n]
              [--layout linear|xor|rotation]
              [--input random|sorted|reversed|nearly-sorted|worst-case]
-             [--device m4000|2080ti] [--library thrust|mgpu]
+             [--device m4000|2080ti|gtx770] [--library thrust|mgpu]
              [--algorithm pairwise|multiway|bitonic|radix|shearsort]
              [--ways n] [--digit-bits n] [--json]
              [--trace-out file.wcmt]
@@ -129,7 +125,8 @@ subcommands:
                <subcommand + its flags>            wrap an invocation, or
                --engine pairwise|multiway|bitonic|radix|shearsort
                --adversarial small-E|large-E [--k n] [--seed n]
-               [--device name] [--json]            canned adversarial sort
+               [--device m4000|2080ti|gtx770] [--json]
+                                                   canned adversarial sort
   serve      run the wcmd daemon in-process: accept line-delimited JSON
              requests over a Unix-domain socket with request coalescing,
              batched scheduling, and a multi-tenant response cache
@@ -166,15 +163,6 @@ std::vector<cli::Flag> merged(std::vector<cli::Flag> base,
     }
   }
   return base;
-}
-
-gpusim::Device device_from(const cli::Args& a) {
-  return cli::parse_choice<gpusim::Device>(
-      "--device", a.get("device", "m4000"),
-      {{"m4000", gpusim::quadro_m4000()},
-       {"quadro", gpusim::quadro_m4000()},
-       {"2080ti", gpusim::rtx_2080ti()},
-       {"rtx2080ti", gpusim::rtx_2080ti()}});
 }
 
 core::AlignmentStrategy strategy_from(const cli::Args& a) {
@@ -251,50 +239,19 @@ int cmd_sort(const cli::Args& a) {
   if (!trace_out.empty()) {
     cfg.trace_sink = &recorder;
   }
-  const auto dev = device_from(a);
+  const auto dev = gpusim::parse_device(a.get("device", "m4000"));
   const u32 k = static_cast<u32>(a.get_u64("k", 6, 40));  // n = bE * 2^k
   const std::size_t n = cfg.tile() << k;
-  const auto lib = cli::parse_choice<sort::MergeSortLibrary>(
-      "--library", a.get("library", "thrust"),
-      {{"thrust", sort::MergeSortLibrary::thrust},
-       {"mgpu", sort::MergeSortLibrary::mgpu}});
-
-  const auto kind = cli::parse_choice<workload::InputKind>(
-      "--input", a.get("input", "worst-case"),
-      {{"random", workload::InputKind::random},
-       {"sorted", workload::InputKind::sorted},
-       {"reversed", workload::InputKind::reversed},
-       {"nearly-sorted", workload::InputKind::nearly_sorted},
-       {"worst-case", workload::InputKind::worst_case}});
+  const sort::Engine& engine =
+      sort::find_sorting_engine(a.get("algorithm", "pairwise"));
+  sort::EngineKnobs knobs;
+  knobs.library = sort::parse_library(a.get("library", "thrust"));
+  knobs.ways = a.get_u32("ways", knobs.ways);
+  knobs.digit_bits = a.get_u32("digit-bits", knobs.digit_bits);
+  const auto kind = workload::parse_input_kind(a.get("input", "worst-case"));
 
   const auto input = workload::make_input(kind, n, cfg, a.get_u64("seed", 1));
-  const std::string algo = a.get("algorithm", "pairwise");
-  sort::SortReport report;
-  if (algo == "multiway") {
-    report = sort::multiway_merge_sort(input, cfg, dev, a.get_u32("ways", 4));
-  } else if (algo == "bitonic") {
-    sort::SortConfig bcfg = cfg;
-    bcfg.E = 2;
-    std::size_t n2 = 1;
-    while (n2 * 2 <= n) {
-      n2 *= 2;
-    }
-    report = sort::bitonic_sort(
-        std::vector<dmm::word>(input.begin(),
-                               input.begin() +
-                                   static_cast<std::ptrdiff_t>(n2)),
-        bcfg, dev);
-  } else if (algo == "radix") {
-    report = sort::radix_sort(input, cfg, dev, a.get_u32("digit-bits", 4));
-  } else if (algo == "shearsort") {
-    report = sort::shearsort(input, cfg, dev);
-  } else if (algo == "pairwise") {
-    report = sort::pairwise_merge_sort(input, cfg, dev, lib);
-  } else {
-    throw parse_error("unknown value '" + algo +
-                      "' for --algorithm (valid: pairwise, multiway, "
-                      "bitonic, radix, shearsort)");
-  }
+  const sort::SortReport report = engine.run(input, cfg, dev, knobs);
   if (!trace_out.empty()) {
     std::ofstream os(trace_out);
     if (!os) {
@@ -627,6 +584,7 @@ struct Command {
   std::vector<cli::Flag> flags;
   int (*run)(const cli::Args&);
   bool operands = false;  ///< accepts positional operands
+  const char* usage = kUsage;  ///< what --help prints
 };
 
 /// Every subcommand but profile, help and version (which take no flags of
@@ -667,7 +625,8 @@ const std::vector<Command>& commands() {
         {"retries"}, {"fail-fast", false}},
        cmd_campaign,
        true},
-      {"serve", serve::serve_flags(), serve::run_server},
+      {"serve", serve::serve_flags(), serve::run_server, false,
+       serve::daemon_usage()},
       {"metrics",
        merged(serve::flags_of<serve::MetricsParams>(),
               {{"socket"}, {"timeout-ms"}}),
@@ -690,7 +649,7 @@ int run_command(const Command& cmd, const std::vector<std::string>& tokens) {
   const cli::Args args(tokens, cmd.flags, "subcommand '" + cmd.name + "'",
                        cmd.operands);
   if (args.has("help")) {
-    std::cout << kUsage;
+    std::cout << cmd.usage;
     return 0;
   }
   return cmd.run(args);
@@ -704,9 +663,6 @@ int cmd_profile_canned(const cli::Args& a) {
         "profile needs a subcommand to wrap, or --engine with "
         "--adversarial small-E|large-E (see wcmgen --help)");
   }
-  cli::parse_choice<int>("--engine", engine,
-                         {{"pairwise", 0}, {"multiway", 1}, {"bitonic", 2},
-                          {"radix", 3}, {"shearsort", 4}});
   const bool small_e = cli::parse_choice<bool>(
       "--adversarial", a.get("adversarial", "large-E"),
       {{"small-E", true}, {"large-E", false}});

@@ -3,30 +3,11 @@
 #include <ostream>
 #include <sstream>
 
+#include "util/json.hpp"
+
 namespace wcm::analysis {
 
 namespace {
-
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
 
 void write_kernel(std::ostream& os, const gpusim::KernelStats& k) {
   os << "{\"shared_steps\":" << k.shared.steps
@@ -44,8 +25,9 @@ void write_kernel(std::ostream& os, const gpusim::KernelStats& k) {
 }  // namespace
 
 void write_report_json(std::ostream& os, const sort::SortReport& report) {
-  os << "{\"device\":\"" << escape(report.device.name) << "\""
-     << ",\"config\":{\"E\":" << report.config.E
+  os << "{\"device\":";
+  json::write_string(os, report.device.name);
+  os << ",\"config\":{\"E\":" << report.config.E
      << ",\"b\":" << report.config.b << ",\"w\":" << report.config.w
      << ",\"padding\":" << report.config.padding << "}"
      << ",\"n\":" << report.n
@@ -60,8 +42,9 @@ void write_report_json(std::ostream& os, const sort::SortReport& report) {
     if (i) {
       os << ',';
     }
-    os << "{\"name\":\"" << escape(r.name) << "\""
-       << ",\"seconds\":" << r.modeled_seconds << ",\"kernel\":";
+    os << "{\"name\":";
+    json::write_string(os, r.name);
+    os << ",\"seconds\":" << r.modeled_seconds << ",\"kernel\":";
     write_kernel(os, r.kernel);
     os << "}";
   }

@@ -2,6 +2,8 @@
 
 #include <ostream>
 
+#include "util/json.hpp"
+
 namespace wcm::analyze {
 
 const char* to_string(Severity s) noexcept {
@@ -62,31 +64,6 @@ void render_lanes(std::ostream& os, const std::vector<u32>& lanes,
   os << close;
 }
 
-/// Escape for a JSON string literal (mirrors analysis/json_export.cpp).
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 void render_text(std::ostream& os, const Diagnostic& d) {
@@ -107,7 +84,9 @@ void render_json(std::ostream& os, const Diagnostic& d) {
     os << ",\"step\":" << d.step;
   }
   render_lanes(os, d.lanes, ",\"lanes\":[", "]");
-  os << ",\"message\":\"" << escape(d.message) << "\"}";
+  os << ",\"message\":";
+  json::write_string(os, d.message);
+  os << '}';
 }
 
 }  // namespace wcm::analyze

@@ -12,13 +12,9 @@
 #include "core/warp_construction.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/trace.hpp"
-#include "sort/bitonic.hpp"
 #include "sort/cpu_reference.hpp"
 #include "sort/describe.hpp"
-#include "sort/multiway.hpp"
-#include "sort/pairwise_sort.hpp"
-#include "sort/radix.hpp"
-#include "sort/shearsort.hpp"
+#include "sort/engines.hpp"
 #include "telemetry/registry.hpp"
 #include "util/check.hpp"
 #include "util/hash.hpp"
@@ -159,22 +155,22 @@ std::vector<BreakdownRow> sweep_breakdown(const VerifyOptions& opts) {
   return rows;
 }
 
+/// The differential grid's block size and engine knobs.
+constexpr u32 kDifferentialB = 8;
+constexpr sort::EngineKnobs kDifferentialKnobs{.ways = 2, .digit_bits = 1};
+
 /// Run one engine end to end at a concrete cell and count replayed steps
 /// that exceed the statically derived bounds.
-DifferentialCell run_differential_cell(const std::string& engine, u32 w,
+DifferentialCell run_differential_cell(const sort::Engine& engine, u32 w,
                                        u32 E, gpusim::LayoutKind layout) {
-  constexpr u32 kB = 8;
-  constexpr u32 kWays = 2;
-  constexpr u32 kDigitBits = 1;
-
   DifferentialCell cell;
-  cell.engine = engine;
+  cell.engine = engine.name;
   cell.w = w;
   cell.E = E;
   cell.layout = layout;
 
   const auto dev = gpusim::synthetic_device(w);
-  sort::SortConfig cfg{E, kB, w};
+  sort::SortConfig cfg{E, kDifferentialB, w};
   cfg.layout = layout;
   cfg.validate();
   gpusim::TraceRecorder rec;
@@ -183,18 +179,7 @@ DifferentialCell run_differential_cell(const std::string& engine, u32 w,
   const std::size_t n = cfg.tile() * 2;
   const auto input = workload::random_permutation(n, 7 + E + w);
   std::vector<dmm::word> out;
-  if (engine == "pairwise") {
-    (void)sort::pairwise_merge_sort(input, cfg, dev,
-                                    sort::MergeSortLibrary::thrust, &out);
-  } else if (engine == "multiway") {
-    (void)sort::multiway_merge_sort(input, cfg, dev, kWays, &out);
-  } else if (engine == "radix") {
-    (void)sort::radix_sort(input, cfg, dev, kDigitBits, &out);
-  } else if (engine == "bitonic") {
-    (void)sort::bitonic_sort(input, cfg, dev, &out);
-  } else if (engine == "shearsort") {
-    (void)sort::shearsort(input, cfg, dev, &out);
-  }
+  (void)engine.run(input, cfg, dev, kDifferentialKnobs, &out);
   if (out != sort::std_sort(input)) {
     cell.violations = 1;
     cell.ok = false;
@@ -203,15 +188,15 @@ DifferentialCell run_differential_cell(const std::string& engine, u32 w,
 
   symbolic::ProveOptions popts;
   popts.w = w;
-  popts.b = kB;
+  popts.b = kDifferentialB;
   popts.pad = 0;
   popts.layout = layout;
   popts.e_min = E;
   popts.e_max = E;
-  popts.ways = kWays;
-  popts.digit_bits = kDigitBits;
+  popts.ways = kDifferentialKnobs.ways;
+  popts.digit_bits = kDifferentialKnobs.digit_bits;
   const symbolic::EngineReport bounds =
-      symbolic::prove_engine(engine, popts);
+      symbolic::prove_engine(cell.engine, popts);
   cell.max_read_bound = bounds.max_read_bound;
   cell.max_write_bound = bounds.max_write_bound;
   cell.violations = symbolic::certify_trace(rec.take(), bounds).size();
@@ -219,7 +204,7 @@ DifferentialCell run_differential_cell(const std::string& engine, u32 w,
   if (telemetry::enabled()) {
     telemetry::registry()
         .counter("analyze.verify.differential",
-                 {{"engine", engine}, {"ok", cell.ok ? "1" : "0"}})
+                 {{"engine", cell.engine}, {"ok", cell.ok ? "1" : "0"}})
         .add(1);
   }
   return cell;
@@ -227,17 +212,16 @@ DifferentialCell run_differential_cell(const std::string& engine, u32 w,
 
 std::vector<DifferentialCell> run_differential(
     const std::vector<std::string>& engines, const VerifyOptions& opts) {
-  // The runnable subset (scan/blocksort/block-merge are exercised inside
-  // pairwise) on a grid small enough for CI but wide enough to cross the
-  // coprime boundary: both layouts, both non-trivial warp widths, E values
-  // hitting gcd(w, E) = 1, 2 and 4.
-  static const char* kRunnable[] = {"pairwise", "multiway", "radix",
-                                    "bitonic", "shearsort"};
+  // The engines that sort (the phases scan/blocksort/block-merge are
+  // exercised inside pairwise) on a grid small enough for CI but wide
+  // enough to cross the coprime boundary: both layouts, both non-trivial
+  // warp widths, E values hitting gcd(w, E) = 1, 2 and 4.
   const gpusim::LayoutKind layouts[] = {gpusim::LayoutKind::linear,
                                         gpusim::LayoutKind::rotation};
   std::vector<DifferentialCell> cells;
-  for (const char* engine : kRunnable) {
-    if (std::find(engines.begin(), engines.end(), engine) == engines.end()) {
+  for (const sort::Engine& engine : sort::engines()) {
+    if (!engine.sorts() || std::find(engines.begin(), engines.end(),
+                                     engine.name) == engines.end()) {
       continue;
     }
     for (const u32 w : {2u, 4u}) {
@@ -245,8 +229,12 @@ std::vector<DifferentialCell> run_differential(
         continue;
       }
       for (const u32 E : {1u, 2u, 3u, 5u}) {
-        if (std::string_view(engine) == "bitonic" && E != 2) {
-          continue;  // the bitonic engine is specified at E = 2 only
+        // An engine whose shape rule rewrites E (bitonic runs at E = 2)
+        // would only repeat its cell at the rewritten E.
+        const sort::SortConfig cfg{E, kDifferentialB, w};
+        if (engine.shape(cfg, cfg.tile() * 2, kDifferentialKnobs).cfg.E !=
+            E) {
+          continue;
         }
         for (const auto layout : layouts) {
           cells.push_back(run_differential_cell(engine, w, E, layout));
@@ -334,7 +322,7 @@ VerifyReport run_verify(const std::vector<std::string>& engines,
                                  ": block smaller than the warp");
         continue;
       }
-      if (engine == "shearsort" && opts.b % w != 0) {
+      if (sort::find_engine(engine).whole_warps && opts.b % w != 0) {
         report.skipped.push_back(engine + "@w=" + std::to_string(w) +
                                  ": block not a multiple of the warp");
         continue;

@@ -7,6 +7,7 @@
 
 #include "util/check.hpp"
 #include "util/hash.hpp"
+#include "util/json.hpp"
 
 namespace wcm::analyze::symbolic {
 
@@ -155,27 +156,6 @@ void append_counterexample(std::vector<CertCounterexample>& out,
   out.push_back(std::move(ce));
 }
 
-void json_escape_into(std::ostream& os, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      default:
-        os << c;
-    }
-  }
-}
-
 std::string render_hex(u64 v) {
   std::ostringstream os;
   os << std::hex;
@@ -213,16 +193,16 @@ std::string json_body(const Certificate& cert) {
         os << ',';
       }
       first = false;
-      os << "{\"name\":\"";
-      json_escape_into(os, gr.name);
-      os << "\",\"kind\":\"" << gr.kind
+      os << "{\"name\":";
+      json::write_string(os, gr.name);
+      os << ",\"kind\":\"" << gr.kind
          << "\",\"theorem_site\":" << (gr.theorem_site ? 1 : 0)
          << ",\"method\":\"" << gr.bound.method
          << "\",\"degree\":" << gr.bound.degree
          << ",\"free\":" << (gr.bound.free ? 1 : 0)
-         << ",\"exact\":" << (gr.bound.exact ? 1 : 0) << ",\"detail\":\"";
-      json_escape_into(os, gr.bound.detail);
-      os << "\"}";
+         << ",\"exact\":" << (gr.bound.exact ? 1 : 0) << ",\"detail\":";
+      json::write_string(os, gr.bound.detail);
+      os << "}";
     }
     os << "]}";
   }
@@ -232,18 +212,18 @@ std::string json_body(const Certificate& cert) {
     if (i > 0) {
       os << ',';
     }
-    os << "{\"b\":" << ce.b << ",\"pad\":" << ce.pad << ",\"group\":\"";
-    json_escape_into(os, ce.group);
-    os << "\",\"kind\":\"" << ce.kind << "\",\"pattern\":\"";
-    json_escape_into(os, ce.pattern);
-    os << "\",\"valuation\":[";
+    os << "{\"b\":" << ce.b << ",\"pad\":" << ce.pad << ",\"group\":";
+    json::write_string(os, ce.group);
+    os << ",\"kind\":\"" << ce.kind << "\",\"pattern\":";
+    json::write_string(os, ce.pattern);
+    os << ",\"valuation\":[";
     for (std::size_t v = 0; v < ce.valuation.size(); ++v) {
       if (v > 0) {
         os << ',';
       }
-      os << "{\"sym\":\"";
-      json_escape_into(os, ce.valuation[v].first);
-      os << "\",\"value\":" << ce.valuation[v].second << "}";
+      os << "{\"sym\":";
+      json::write_string(os, ce.valuation[v].first);
+      os << ",\"value\":" << ce.valuation[v].second << "}";
     }
     os << "],\"addresses\":[";
     for (std::size_t a = 0; a < ce.addresses.size(); ++a) {

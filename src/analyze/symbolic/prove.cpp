@@ -5,67 +5,19 @@
 #include <ostream>
 #include <sstream>
 
-#include "sort/describe.hpp"
+#include "sort/engines.hpp"
 #include "util/check.hpp"
-#include "util/error.hpp"
 #include "util/hash.hpp"
+#include "util/json.hpp"
 
 namespace wcm::analyze::symbolic {
 
 namespace ir = gpusim::ir;
 
-namespace {
-
-/// The describer registry: one row per provable engine.  all_engines(),
-/// describe_engine()'s dispatch, and the unknown-engine diagnostic all read
-/// this table, so registering a describer here is the single step that
-/// surfaces it everywhere.
-struct EngineEntry {
-  const char* name;
-  ir::KernelDesc (*describe)(const ProveOptions& opts);
-};
-
-constexpr EngineEntry kEngineRegistry[] = {
-    {"blocksort",
-     [](const ProveOptions& o) {
-       return sort::describe_blocksort(o.w, o.b, o.pad);
-     }},
-    {"block-merge",
-     [](const ProveOptions& o) {
-       return sort::describe_block_merge(o.w, o.b, o.pad);
-     }},
-    {"pairwise",
-     [](const ProveOptions& o) {
-       return sort::describe_pairwise(o.w, o.b, o.pad);
-     }},
-    {"multiway",
-     [](const ProveOptions& o) {
-       return sort::describe_multiway(o.w, o.b, o.pad, o.ways);
-     }},
-    {"bitonic",
-     [](const ProveOptions& o) {
-       return sort::describe_bitonic(o.w, o.b, o.pad);
-     }},
-    {"radix",
-     [](const ProveOptions& o) {
-       return sort::describe_radix(o.w, o.b, o.pad, o.digit_bits);
-     }},
-    {"scan",
-     [](const ProveOptions& o) {
-       return sort::describe_block_scan(o.w, o.b, o.pad);
-     }},
-    {"shearsort",
-     [](const ProveOptions& o) {
-       return sort::describe_shearsort(o.w, o.b, o.pad);
-     }},
-};
-
-}  // namespace
-
 const std::vector<std::string>& all_engines() {
   static const std::vector<std::string> kEngines = [] {
     std::vector<std::string> names;
-    for (const EngineEntry& e : kEngineRegistry) {
+    for (const sort::Engine& e : sort::engines()) {
       names.emplace_back(e.name);
     }
     return names;
@@ -121,27 +73,6 @@ std::string render_hex(u64 v) {
   return os.str();
 }
 
-void json_escape_into(std::ostream& os, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      default:
-        os << c;
-    }
-  }
-}
-
 /// The JSON body everything hashes and renders: deterministic, integers
 /// and strings only (no floats), no digest field.
 std::string json_body(const ProveReport& report) {
@@ -164,21 +95,21 @@ std::string json_body(const ProveReport& report) {
       if (g > 0) {
         os << ',';
       }
-      os << "{\"name\":\"";
-      json_escape_into(os, gr.name);
-      os << "\",\"kind\":\"" << gr.kind << "\",\"atomic\":"
+      os << "{\"name\":";
+      json::write_string(os, gr.name);
+      os << ",\"kind\":\"" << gr.kind << "\",\"atomic\":"
          << (gr.atomic ? 1 : 0)
          << ",\"theorem_site\":" << (gr.theorem_site ? 1 : 0)
-         << ",\"pattern\":\"";
-      json_escape_into(os, gr.pattern);
-      os << "\",\"method\":\"" << gr.bound.method
+         << ",\"pattern\":";
+      json::write_string(os, gr.pattern);
+      os << ",\"method\":\"" << gr.bound.method
          << "\",\"degree\":" << gr.bound.degree
          << ",\"free\":" << (gr.bound.free ? 1 : 0)
-         << ",\"exact\":" << (gr.bound.exact ? 1 : 0) << ",\"detail\":\"";
-      json_escape_into(os, gr.bound.detail);
-      os << "\",\"divergence\":\"";
-      json_escape_into(os, gr.bound.divergence);
-      os << "\"}";
+         << ",\"exact\":" << (gr.bound.exact ? 1 : 0) << ",\"detail\":";
+      json::write_string(os, gr.bound.detail);
+      os << ",\"divergence\":";
+      json::write_string(os, gr.bound.divergence);
+      os << "}";
     }
     os << "]}";
   }
@@ -195,9 +126,9 @@ std::string json_body(const ProveReport& report) {
        << ",\"aligned_dynamic\":" << t.aligned_dynamic
        << ",\"step_bound\":" << t.step_bound
        << ",\"max_step_degree\":" << t.max_step_degree
-       << ",\"ok\":" << (t.ok ? 1 : 0) << ",\"note\":\"";
-    json_escape_into(os, t.note);
-    os << "\"}";
+       << ",\"ok\":" << (t.ok ? 1 : 0) << ",\"note\":";
+    json::write_string(os, t.note);
+    os << "}";
   }
   os << "],\"findings\":[";
   for (std::size_t i = 0; i < report.findings.size(); ++i) {
@@ -214,24 +145,15 @@ std::string json_body(const ProveReport& report) {
 
 ir::KernelDesc describe_engine(const std::string& name,
                                const ProveOptions& opts) {
-  for (const EngineEntry& entry : kEngineRegistry) {
-    if (name == entry.name) {
-      ir::KernelDesc desc = entry.describe(opts);
-      // The bank permutation is a property of the machine the engine is
-      // proved on, not of the describer: apply it centrally so every
-      // registered engine is provable under every layout.
-      desc.layout = opts.layout;
-      apply_e_range(desc, opts);
-      return desc;
-    }
-  }
-  std::string valid;
-  for (const std::string& n : all_engines()) {
-    valid += n;
-    valid += ", ";
-  }
-  throw parse_error("unknown engine '" + name + "' (valid: " + valid +
-                    "all)");
+  ir::KernelDesc desc = sort::find_engine(name).describe(
+      opts.w, opts.b, opts.pad,
+      {.ways = opts.ways, .digit_bits = opts.digit_bits});
+  // The bank permutation is a property of the machine the engine is
+  // proved on, not of the describer: apply it centrally so every engine
+  // is provable under every layout.
+  desc.layout = opts.layout;
+  apply_e_range(desc, opts);
+  return desc;
 }
 
 EngineReport prove_engine(const std::string& name, const ProveOptions& opts) {

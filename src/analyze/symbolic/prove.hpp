@@ -76,9 +76,8 @@ struct ProveReport {
   u64 digest = 0;  ///< fnv1a over the rendered JSON body
 };
 
-/// The canonical engine list (`--engine all`), derived from the describer
-/// registry — the single source the unknown-engine diagnostic and the CLI
-/// choices quote, so it cannot go stale against the registered describers.
+/// The canonical engine list (`--engine all`): the names of the engine
+/// table (sort/engines.hpp), in table order.
 [[nodiscard]] const std::vector<std::string>& all_engines();
 
 /// Lift one engine into the IR with the options' E range applied.

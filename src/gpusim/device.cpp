@@ -1,5 +1,7 @@
 #include "gpusim/device.hpp"
 
+#include "util/cli.hpp"
+
 namespace wcm::gpusim {
 
 Device quadro_m4000() {
@@ -80,6 +82,15 @@ Device synthetic_device(u32 warp_size) {
   // shared memory so every (E, b = 4w) configuration fits.
   d.shared_mem_per_block = d.shared_mem_per_sm;
   return d;
+}
+
+Device parse_device(const std::string& name) {
+  return cli::parse_choice<Device>("device", name,
+                                   {{"m4000", quadro_m4000()},
+                                    {"quadro", quadro_m4000()},
+                                    {"2080ti", rtx_2080ti()},
+                                    {"rtx2080ti", rtx_2080ti()},
+                                    {"gtx770", gtx_770()}});
 }
 
 }  // namespace wcm::gpusim

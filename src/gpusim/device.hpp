@@ -59,4 +59,8 @@ struct Device {
 /// the M4000, scaled so aggregate width stays constant.
 [[nodiscard]] Device synthetic_device(u32 warp_size);
 
+/// The device a flag or campaign spec names: m4000 (or quadro), 2080ti (or
+/// rtx2080ti), gtx770.  Throws wcm::parse_error naming the valid set.
+[[nodiscard]] Device parse_device(const std::string& name);
+
 }  // namespace wcm::gpusim

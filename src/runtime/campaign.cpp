@@ -17,9 +17,6 @@
 #include "runtime/thread_pool.hpp"
 #include "telemetry/span.hpp"
 #include "telemetry/stopwatch.hpp"
-#include "sort/bitonic.hpp"
-#include "sort/multiway.hpp"
-#include "sort/radix.hpp"
 #include "util/check.hpp"
 #include "util/failpoint.hpp"
 #include "util/json.hpp"
@@ -32,75 +29,6 @@ namespace {
 /// Hard cap on expanded cells: a typo'd spec must not OOM the host.
 constexpr std::size_t kMaxCells = 1u << 20;
 constexpr u32 kMaxK = 40;
-
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
-
-template <typename T>
-T choice(const std::string& field, const std::string& value,
-         const std::vector<std::pair<std::string, T>>& choices) {
-  std::string names;
-  for (const auto& [name, v] : choices) {
-    if (value == name) {
-      return v;
-    }
-    names += names.empty() ? name : ", " + name;
-  }
-  throw parse_error("unknown value '" + value + "' for campaign field '" +
-                    field + "' (valid: " + names + ")");
-}
-
-Engine engine_from(const std::string& s) {
-  return choice<Engine>("engine", s,
-                        {{"pairwise", Engine::pairwise},
-                         {"multiway", Engine::multiway},
-                         {"bitonic", Engine::bitonic},
-                         {"radix", Engine::radix}});
-}
-
-sort::MergeSortLibrary library_from(const std::string& s) {
-  return choice<sort::MergeSortLibrary>(
-      "library", s,
-      {{"thrust", sort::MergeSortLibrary::thrust},
-       {"mgpu", sort::MergeSortLibrary::mgpu}});
-}
-
-workload::InputKind input_from(const std::string& s) {
-  return choice<workload::InputKind>(
-      "input", s,
-      {{"random", workload::InputKind::random},
-       {"sorted", workload::InputKind::sorted},
-       {"reversed", workload::InputKind::reversed},
-       {"nearly-sorted", workload::InputKind::nearly_sorted},
-       {"worst-case", workload::InputKind::worst_case}});
-}
-
-gpusim::Device device_from(const std::string& s) {
-  return choice<gpusim::Device>("device", s,
-                                {{"m4000", gpusim::quadro_m4000()},
-                                 {"quadro", gpusim::quadro_m4000()},
-                                 {"2080ti", gpusim::rtx_2080ti()},
-                                 {"rtx2080ti", gpusim::rtx_2080ti()},
-                                 {"gtx770", gpusim::gtx_770()}});
-}
 
 /// A grid field that is either one number or an array of numbers.
 std::vector<u32> u32_list(const json::Value& v, const std::string& field,
@@ -123,10 +51,10 @@ std::vector<workload::InputKind> input_list(const json::Value& v) {
   std::vector<workload::InputKind> out;
   if (v.is_array()) {
     for (const auto& item : v.as_array()) {
-      out.push_back(input_from(item.as_string()));
+      out.push_back(workload::parse_input_kind(item.as_string()));
     }
   } else {
-    out.push_back(input_from(v.as_string()));
+    out.push_back(workload::parse_input_kind(v.as_string()));
   }
   if (out.empty()) {
     throw parse_error("campaign field 'input' must not be empty");
@@ -157,10 +85,10 @@ GridEntry entry_from(const json::Value& v) {
                       "grid entry");
   GridEntry e;
   if (auto it = obj.find("engine"); it != obj.end()) {
-    e.engine = engine_from(it->second.as_string());
+    e.engine = &sort::find_sorting_engine(it->second.as_string());
   }
   if (auto it = obj.find("library"); it != obj.end()) {
-    e.library = library_from(it->second.as_string());
+    e.knobs.library = sort::parse_library(it->second.as_string());
   }
   if (auto it = obj.find("E"); it != obj.end()) {
     e.E = u32_list(it->second, "E", 1u << 10);
@@ -181,23 +109,12 @@ GridEntry entry_from(const json::Value& v) {
     e.k = u32_list(it->second, "k", kMaxK);
   }
   if (auto it = obj.find("ways"); it != obj.end()) {
-    e.ways = static_cast<u32>(it->second.as_u64(64));
+    e.knobs.ways = static_cast<u32>(it->second.as_u64(64));
   }
   if (auto it = obj.find("digit_bits"); it != obj.end()) {
-    e.digit_bits = static_cast<u32>(it->second.as_u64(16));
+    e.knobs.digit_bits = static_cast<u32>(it->second.as_u64(16));
   }
   return e;
-}
-
-/// The configuration the cell's engine actually launches: bitonic always
-/// runs with E = 2 on a power-of-two prefix (same transformation as
-/// `wcmgen sort --algorithm bitonic`).
-sort::SortConfig effective_config(const CampaignCell& cell) {
-  sort::SortConfig cfg = cell.config;
-  if (cell.engine == Engine::bitonic) {
-    cfg.E = 2;
-  }
-  return cfg;
 }
 
 CellMetrics metrics_of(const sort::SortReport& report) {
@@ -221,50 +138,23 @@ CellMetrics compute_cell(const CampaignCell& cell, const gpusim::Device& dev,
       workload::make_input(cell.input, cell.n, cell.config, cell.seed);
   sort::SortConfig cfg = cell.config;
   cfg.trace_sink = recorder;
-  sort::SortReport report;
-  switch (cell.engine) {
-    case Engine::pairwise:
-      report = sort::pairwise_merge_sort(input, cfg, dev, cell.library);
-      break;
-    case Engine::multiway:
-      report = sort::multiway_merge_sort(input, cfg, dev, cell.ways);
-      break;
-    case Engine::radix:
-      report = sort::radix_sort(input, cfg, dev, cell.digit_bits);
-      break;
-    case Engine::bitonic: {
-      sort::SortConfig bcfg = effective_config(cell);
-      bcfg.trace_sink = recorder;
-      std::size_t n2 = 1;
-      while (n2 * 2 <= cell.n) {
-        n2 *= 2;
-      }
-      report = sort::bitonic_sort(
-          std::vector<dmm::word>(
-              input.begin(),
-              input.begin() + static_cast<std::ptrdiff_t>(n2)),
-          bcfg, dev);
-      break;
-    }
-  }
-  return metrics_of(report);
+  return metrics_of(cell.engine->run(input, cfg, dev, cell.knobs));
 }
 
 /// Base label shared by every size of one curve (everything but input/k).
 std::string base_label(const CampaignCell& cell) {
   std::ostringstream os;
-  os << to_string(cell.engine);
-  if (cell.engine == Engine::pairwise) {
-    os << '/'
-       << (cell.library == sort::MergeSortLibrary::thrust ? "thrust" : "mgpu");
+  os << cell.engine->name;
+  if (cell.engine->reads_library) {
+    os << '/' << sort::library_name(cell.knobs.library);
   }
   os << " E=" << cell.config.E << " b=" << cell.config.b
      << " w=" << cell.config.w << " pad=" << cell.config.padding;
-  if (cell.engine == Engine::multiway) {
-    os << " ways=" << cell.ways;
+  if (cell.engine->reads_ways) {
+    os << " ways=" << cell.knobs.ways;
   }
-  if (cell.engine == Engine::radix) {
-    os << " bits=" << cell.digit_bits;
+  if (cell.engine->reads_digit_bits) {
+    os << " bits=" << cell.knobs.digit_bits;
   }
   return os.str();
 }
@@ -281,9 +171,11 @@ struct CellRun {
 void write_aggregate_json(std::ostream& os, const CampaignSpec& spec,
                           const std::vector<CellRun>& runs,
                           const std::vector<QuarantinedCell>& quarantined) {
-  os << "{\"campaign\":\"" << escape(spec.name) << "\""
-     << ",\"device\":\"" << escape(spec.device.name) << "\""
-     << ",\"seed\":" << spec.seed << ",\"cells\":[";
+  os << "{\"campaign\":";
+  json::write_string(os, spec.name);
+  os << ",\"device\":";
+  json::write_string(os, spec.device.name);
+  os << ",\"seed\":" << spec.seed << ",\"cells\":[";
   bool first_cell = true;
   for (const auto& r : runs) {
     if (!r.have) {
@@ -293,16 +185,15 @@ void write_aggregate_json(std::ostream& os, const CampaignSpec& spec,
       os << ',';
     }
     first_cell = false;
-    os << "{\"engine\":\"" << to_string(r.cell.engine) << "\""
-       << ",\"library\":\""
-       << (r.cell.library == sort::MergeSortLibrary::thrust ? "thrust"
-                                                            : "mgpu")
+    os << "{\"engine\":\"" << r.cell.engine->name << "\""
+       << ",\"library\":\"" << sort::library_name(r.cell.knobs.library)
        << "\"" << ",\"E\":" << r.cell.config.E << ",\"b\":" << r.cell.config.b
        << ",\"w\":" << r.cell.config.w
        << ",\"padding\":" << r.cell.config.padding << ",\"input\":\""
        << workload::to_string(r.cell.input) << "\"" << ",\"k\":" << r.cell.k
-       << ",\"ways\":" << r.cell.ways
-       << ",\"digit_bits\":" << r.cell.digit_bits << ",\"seed\":" << r.cell.seed
+       << ",\"ways\":" << r.cell.knobs.ways
+       << ",\"digit_bits\":" << r.cell.knobs.digit_bits
+       << ",\"seed\":" << r.cell.seed
        << ",\"n\":" << r.metrics.n << ",\"seconds\":" << r.metrics.seconds
        << ",\"throughput\":" << r.metrics.throughput
        << ",\"conflicts_per_element\":" << r.metrics.conflicts_per_element
@@ -336,8 +227,9 @@ void write_aggregate_json(std::ostream& os, const CampaignSpec& spec,
         os << ',';
       }
       first = false;
-      os << "{\"label\":\"" << escape(base + " " + input)
-         << "\",\"points\":[";
+      os << "{\"label\":";
+      json::write_string(os, base + " " + input);
+      os << ",\"points\":[";
       for (std::size_t i = 0; i < points.size(); ++i) {
         if (i) {
           os << ',';
@@ -380,8 +272,9 @@ void write_aggregate_json(std::ostream& os, const CampaignSpec& spec,
       os << ',';
     }
     first = false;
-    os << "{\"label\":\"" << escape(base)
-       << "\",\"peak_percent\":" << stats.peak_percent
+    os << "{\"label\":";
+    json::write_string(os, base);
+    os << ",\"peak_percent\":" << stats.peak_percent
        << ",\"peak_n\":" << stats.peak_n
        << ",\"average_percent\":" << stats.average_percent << "}";
   }
@@ -396,29 +289,17 @@ void write_aggregate_json(std::ostream& os, const CampaignSpec& spec,
     if (i) {
       os << ',';
     }
-    os << "{\"index\":" << q.index << ",\"label\":\"" << escape(q.label)
-       << "\",\"code\":\"" << wcm::to_string(q.code) << "\""
-       << ",\"message\":\"" << escape(q.message)
-       << "\",\"attempts\":" << q.attempts << "}";
+    os << "{\"index\":" << q.index << ",\"label\":";
+    json::write_string(os, q.label);
+    os << ",\"code\":\"" << wcm::to_string(q.code) << "\""
+       << ",\"message\":";
+    json::write_string(os, q.message);
+    os << ",\"attempts\":" << q.attempts << "}";
   }
   os << "]}";
 }
 
 }  // namespace
-
-const char* to_string(Engine engine) noexcept {
-  switch (engine) {
-    case Engine::pairwise:
-      return "pairwise";
-    case Engine::multiway:
-      return "multiway";
-    case Engine::bitonic:
-      return "bitonic";
-    case Engine::radix:
-      return "radix";
-  }
-  return "?";
-}
 
 CampaignSpec parse_campaign_spec(const std::string& json_text) {
   const json::Value doc = json::parse(json_text);
@@ -433,7 +314,7 @@ CampaignSpec parse_campaign_spec(const std::string& json_text) {
   if (auto it = obj.find("device"); it != obj.end()) {
     spec.device_name = it->second.as_string();
   }
-  spec.device = device_from(spec.device_name);
+  spec.device = gpusim::parse_device(spec.device_name);
   if (auto it = obj.find("seed"); it != obj.end()) {
     spec.seed = it->second.as_u64();
   }
@@ -488,19 +369,22 @@ std::vector<CampaignCell> expand(const CampaignSpec& spec) {
                                    std::to_string(kMaxCells) + " cells");
               CampaignCell cell;
               cell.engine = entry.engine;
-              cell.library = entry.library;
+              cell.knobs = entry.knobs;
+              if (!cell.engine->reads_ways) {
+                cell.knobs.ways = 0;
+              }
+              if (!cell.engine->reads_digit_bits) {
+                cell.knobs.digit_bits = 0;
+              }
               cell.config.E = e;
               cell.config.b = b;
               cell.config.w = entry.w;
               cell.config.padding = pad;
               cell.input = input;
               cell.k = k;
-              cell.ways = entry.engine == Engine::multiway ? entry.ways : 0;
-              cell.digit_bits =
-                  entry.engine == Engine::radix ? entry.digit_bits : 0;
-              cell.config.validate();
-              const auto launch = effective_config(cell);
-              launch.validate();
+              cell.n = cell.config.tile() << k;
+              const sort::SortConfig launch =
+                  cell.engine->shape(cell.config, cell.n, cell.knobs).cfg;
               const auto occ = gpusim::occupancy(spec.device, launch.b,
                                                  launch.shared_bytes());
               WCM_CHECK_CONFIG(
@@ -508,19 +392,16 @@ std::vector<CampaignCell> expand(const CampaignSpec& spec) {
                   "grid cell does not fit on " + spec.device.name + ": E=" +
                       std::to_string(launch.E) + " b=" + std::to_string(b) +
                       " pad=" + std::to_string(pad));
-              cell.n = cell.config.tile() << k;
 
               std::ostringstream canon;
               canon << "wcmc1|device=" << spec.device.name
-                    << "|engine=" << to_string(cell.engine) << "|lib="
-                    << (cell.library == sort::MergeSortLibrary::thrust
-                            ? "thrust"
-                            : "mgpu")
+                    << "|engine=" << cell.engine->name
+                    << "|lib=" << sort::library_name(cell.knobs.library)
                     << "|E=" << e << "|b=" << b << "|w=" << entry.w
                     << "|pad=" << pad << "|refills=0"
                     << "|input=" << workload::to_string(input) << "|k=" << k
-                    << "|n=" << cell.n << "|ways=" << cell.ways
-                    << "|bits=" << cell.digit_bits;
+                    << "|n=" << cell.n << "|ways=" << cell.knobs.ways
+                    << "|bits=" << cell.knobs.digit_bits;
               const std::string base = canon.str();
               cell.seed = fork_seed(
                   spec.seed, fnv1a(fnv_offset_basis, base.data(),
@@ -634,7 +515,8 @@ CampaignOutcome run_campaign(const CampaignSpec& spec,
   sort::SortConfig heavy;
   std::size_t heavy_bytes = 0;
   for (const auto& cell : cells) {
-    const auto launch = effective_config(cell);
+    const sort::SortConfig launch =
+        cell.engine->shape(cell.config, cell.n, cell.knobs).cfg;
     if (launch.shared_bytes() >= heavy_bytes) {
       heavy_bytes = launch.shared_bytes();
       heavy = launch;

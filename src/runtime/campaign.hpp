@@ -23,30 +23,24 @@
 #include "analysis/experiment.hpp"
 #include "runtime/cache.hpp"
 #include "runtime/retry.hpp"
-#include "sort/pairwise_sort.hpp"
+#include "sort/engines.hpp"
 #include "workload/inputs.hpp"
 
 namespace wcm::runtime {
 
 class CancelSource;  // runtime/scheduler.hpp
 
-enum class Engine { pairwise, multiway, bitonic, radix };
-
-[[nodiscard]] const char* to_string(Engine engine) noexcept;
-
 /// One rectangle of the grid: the cartesian product of its list-valued
 /// fields, sharing the scalar-valued ones.
 struct GridEntry {
-  Engine engine = Engine::pairwise;
-  sort::MergeSortLibrary library = sort::MergeSortLibrary::thrust;
+  const sort::Engine* engine = &sort::find_engine("pairwise");
+  sort::EngineKnobs knobs;
   std::vector<u32> E{15};
   std::vector<u32> b{512};
   u32 w = 32;
   std::vector<u32> padding{0};
   std::vector<workload::InputKind> inputs{workload::InputKind::random};
   std::vector<u32> k{1};  ///< n = bE * 2^k
-  u32 ways = 4;           ///< multiway fan-in
-  u32 digit_bits = 4;     ///< radix digit width
 };
 
 struct CampaignSpec {
@@ -75,22 +69,24 @@ struct CampaignSpec {
 
 /// One expanded grid cell, in deterministic expansion order.
 struct CampaignCell {
-  Engine engine = Engine::pairwise;
-  sort::MergeSortLibrary library = sort::MergeSortLibrary::thrust;
+  const sort::Engine* engine = nullptr;  ///< the grid entry's row
+  /// The entry's knobs, with ways and digit_bits zeroed unless the engine
+  /// reads them.
+  sort::EngineKnobs knobs;
   sort::SortConfig config;
   workload::InputKind input = workload::InputKind::random;
   u32 k = 1;
   std::size_t n = 0;  ///< requested size (bE * 2^k)
   u64 seed = 0;       ///< fork_seed(spec.seed, hash(cell)); input seed
-  u32 ways = 0;       ///< non-zero for multiway only
-  u32 digit_bits = 0; ///< non-zero for radix only
   std::string label;      ///< human-readable, used in progress lines
   std::string canonical;  ///< cache-key string (includes seed and device)
 };
 
-/// Expand the grid (validating every cell's SortConfig and its fit on the
-/// device — throws wcm::config_error otherwise).  Deterministic order:
-/// grid entries in spec order, then E, b, padding, input, k in list order.
+/// Expand the grid, checking every cell against its engine's shape rule
+/// (sort::Engine::shape, the check the engine runs under) and its launch's
+/// fit on the device — throws wcm::config_error before any cell runs.
+/// Deterministic order: grid entries in spec order, then E, b, padding,
+/// input, k in list order.
 [[nodiscard]] std::vector<CampaignCell> expand(const CampaignSpec& spec);
 
 struct CampaignOptions {

@@ -909,6 +909,8 @@ gracefully.  Exit codes: 0 clean drain, 2 usage, 3 socket error,
 
 }  // namespace
 
+const char* daemon_usage() noexcept { return kDaemonUsage; }
+
 int daemon_main(int argc, char** argv) {
   return guarded_main("wcmd", [&] {
     std::vector<std::string> tokens = cli::tokens(argc, argv, 1);

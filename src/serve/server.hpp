@@ -85,6 +85,10 @@ int run_server(const cli::Args& args);
 /// main() of wcmd: the serve flags, or --help / --version.
 int daemon_main(int argc, char** argv);
 
+/// The daemon's help text: what `wcmd --help` and `wcmgen serve --help`
+/// print.
+[[nodiscard]] const char* daemon_usage() noexcept;
+
 /// The main() body the front ends share: configure telemetry, the event
 /// log and failpoints from the environment, run `body`, turn an escaping
 /// exception into one diagnostic (naming `program` on usage errors) and

@@ -204,16 +204,7 @@ SortReport bitonic_sort(std::span<const word> input, const SortConfig& cfg,
     }
     stats.elements_processed += n;
 
-    gpusim::RoundStats round;
-    round.name = "bitonic stages <= tile";
-    round.kernel = stats;
-    round.modeled_seconds =
-        gpusim::estimate_kernel_time(dev, launch, stats, cal).seconds;
-    gpusim::record_round_telemetry("bitonic", round.name, cfg.E, cfg.padding,
-                                   stats);
-    report.totals += stats;
-    report.total_time += gpusim::estimate_kernel_time(dev, launch, stats, cal);
-    report.rounds.push_back(std::move(round));
+    report.close_round("bitonic", "bitonic stages <= tile", stats, launch, cal);
   }
 
   // Remaining stages: global passes down to the tile boundary, then one
@@ -227,16 +218,9 @@ SortReport bitonic_sort(std::span<const word> input, const SortConfig& cfg,
     }
     run_shared_tail(size, tile / 2, stats);
 
-    gpusim::RoundStats round;
-    round.name = "bitonic stage " + std::to_string(log2_exact(size));
-    round.kernel = stats;
-    round.modeled_seconds =
-        gpusim::estimate_kernel_time(dev, launch, stats, cal).seconds;
-    gpusim::record_round_telemetry("bitonic", round.name, cfg.E, cfg.padding,
-                                   stats);
-    report.totals += stats;
-    report.total_time += gpusim::estimate_kernel_time(dev, launch, stats, cal);
-    report.rounds.push_back(std::move(round));
+    report.close_round("bitonic",
+                       "bitonic stage " + std::to_string(log2_exact(size)),
+                       stats, launch, cal);
   }
 
   WCM_ENSURES(std::is_sorted(data.begin(), data.end()),

@@ -22,27 +22,17 @@ PairSortResult pairwise_merge_sort_pairs(std::span<const word> keys,
   // Value phase accounting: per round, every element's value moves once —
   // gathered through the merge index (25% coalescing efficiency, i.e. 4
   // transactions per warp of 32 gathers) and stored coalesced.
-  const gpusim::Calibration cal = library_calibration(lib);
   const gpusim::LaunchConfig launch{n / cfg.tile(), cfg.b,
                                     cfg.shared_bytes()};
   constexpr std::size_t kGatherTransactionsPerWarp = 4;
-  gpusim::KernelTime total{};
   for (auto& round : result.report.rounds) {
     gpusim::KernelStats& s = round.kernel;
     s.global_requests += 2 * n;
     s.global_transactions +=
         n / cfg.w * kGatherTransactionsPerWarp  // gather reads
         + n / cfg.w;                            // coalesced stores
-    round.modeled_seconds =
-        gpusim::estimate_kernel_time(dev, launch, s, cal).seconds;
-    total += gpusim::estimate_kernel_time(dev, launch, s, cal);
   }
-  // Rebuild the totals from the augmented rounds.
-  result.report.totals = {};
-  for (const auto& round : result.report.rounds) {
-    result.report.totals += round.kernel;
-  }
-  result.report.total_time = total;
+  result.report.reprice(launch, library_calibration(lib));
 
   // Functional value permutation: stable sort of indices by key reproduces
   // exactly what the simulated (stable, A-priority) merge tree computes.

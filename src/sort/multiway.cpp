@@ -414,16 +414,7 @@ SortReport multiway_merge_sort(std::span<const word> input,
       stats.blocks_launched += 1;
       stats.elements_processed += tile;
     }
-    gpusim::RoundStats round;
-    round.name = "block-sort";
-    round.kernel = stats;
-    round.modeled_seconds =
-        gpusim::estimate_kernel_time(dev, launch, stats, cal).seconds;
-    gpusim::record_round_telemetry("multiway", round.name, cfg.E, cfg.padding,
-                                   stats);
-    report.totals += stats;
-    report.total_time += gpusim::estimate_kernel_time(dev, launch, stats, cal);
-    report.rounds.push_back(std::move(round));
+    report.close_round("multiway", "block-sort", stats, launch, cal);
   }
 
   std::size_t run = tile;
@@ -462,16 +453,9 @@ SortReport multiway_merge_sort(std::span<const word> input,
     }
     data.swap(buffer);
 
-    gpusim::RoundStats round;
-    round.name = "multiway round " + std::to_string(round_idx);
-    round.kernel = stats;
-    round.modeled_seconds =
-        gpusim::estimate_kernel_time(dev, launch, stats, cal).seconds;
-    gpusim::record_round_telemetry("multiway", round.name, cfg.E, cfg.padding,
-                                   stats);
-    report.totals += stats;
-    report.total_time += gpusim::estimate_kernel_time(dev, launch, stats, cal);
-    report.rounds.push_back(std::move(round));
+    report.close_round("multiway",
+                       "multiway round " + std::to_string(round_idx), stats,
+                       launch, cal);
     run = group_out;
   }
 

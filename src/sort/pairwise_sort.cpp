@@ -10,12 +10,24 @@
 #include "sort/describe.hpp"
 #include "telemetry/span.hpp"
 #include "util/check.hpp"
+#include "util/cli.hpp"
 #include "util/failpoint.hpp"
 
 namespace wcm::sort {
 
 const char* to_string(MergeSortLibrary lib) noexcept {
   return lib == MergeSortLibrary::thrust ? "Thrust" : "ModernGPU";
+}
+
+const char* library_name(MergeSortLibrary lib) noexcept {
+  return lib == MergeSortLibrary::thrust ? "thrust" : "mgpu";
+}
+
+MergeSortLibrary parse_library(const std::string& name) {
+  return cli::parse_choice<MergeSortLibrary>(
+      "library", name,
+      {{library_name(MergeSortLibrary::thrust), MergeSortLibrary::thrust},
+       {library_name(MergeSortLibrary::mgpu), MergeSortLibrary::mgpu}});
 }
 
 gpusim::Calibration library_calibration(MergeSortLibrary lib) {
@@ -160,18 +172,12 @@ SortReport recost(const SortReport& report, const gpusim::Device& dev,
                   MergeSortLibrary lib) {
   WCM_EXPECTS(report.config.w == dev.warp_size,
               "config warp size must match device");
-  const gpusim::Calibration cal = library_calibration(lib);
   const gpusim::LaunchConfig launch{report.n / report.config.tile(),
                                     report.config.b,
                                     report.config.shared_bytes()};
   SortReport out = report;
   out.device = dev;
-  out.total_time = {};
-  for (auto& round : out.rounds) {
-    const auto t = gpusim::estimate_kernel_time(dev, launch, round.kernel, cal);
-    round.modeled_seconds = t.seconds;
-    out.total_time += t;
-  }
+  out.reprice(launch, library_calibration(lib));
   return out;
 }
 
@@ -216,17 +222,7 @@ SortReport pairwise_merge_sort(std::span<const word> input,
       stats.blocks_launched += 1;
       stats.elements_processed += tile;
     }
-    gpusim::RoundStats round;
-    round.name = "block-sort";
-    round.kernel = stats;
-    round.modeled_seconds =
-        gpusim::estimate_kernel_time(dev, launch, stats, cal).seconds;
-    gpusim::record_round_telemetry("pairwise", round.name, cfg.E, cfg.padding,
-                                   stats);
-    report.totals += stats;
-    report.total_time +=
-        gpusim::estimate_kernel_time(dev, launch, stats, cal);
-    report.rounds.push_back(std::move(round));
+    report.close_round("pairwise", "block-sort", stats, launch, cal);
   }
 
   // Global pairwise merge rounds: merge adjacent runs until one run is left.
@@ -264,16 +260,8 @@ SortReport pairwise_merge_sort(std::span<const word> input,
     }
     data.swap(buffer);
 
-    gpusim::RoundStats round;
-    round.name = "merge round " + std::to_string(round_idx);
-    round.kernel = stats;
-    round.modeled_seconds =
-        gpusim::estimate_kernel_time(dev, launch, stats, cal).seconds;
-    gpusim::record_round_telemetry("pairwise", round.name, cfg.E, cfg.padding,
-                                   stats);
-    report.totals += stats;
-    report.total_time += gpusim::estimate_kernel_time(dev, launch, stats, cal);
-    report.rounds.push_back(std::move(round));
+    report.close_round("pairwise", "merge round " + std::to_string(round_idx),
+                       stats, launch, cal);
     run = out_run;
   }
 

@@ -12,6 +12,7 @@
 // (see MergeSortLibrary).
 
 #include <span>
+#include <string>
 #include <vector>
 
 #include "sort/report.hpp"
@@ -23,6 +24,12 @@ namespace wcm::sort {
 enum class MergeSortLibrary { thrust, mgpu };
 
 [[nodiscard]] const char* to_string(MergeSortLibrary lib) noexcept;
+
+/// The library's name in flags and campaign specs: "thrust" or "mgpu".
+[[nodiscard]] const char* library_name(MergeSortLibrary lib) noexcept;
+/// Inverse of library_name().  Throws wcm::parse_error naming the valid
+/// set.
+[[nodiscard]] MergeSortLibrary parse_library(const std::string& name);
 
 /// Calibration constants for a library (documented in EXPERIMENTS.md).
 [[nodiscard]] gpusim::Calibration library_calibration(MergeSortLibrary lib);

@@ -169,16 +169,8 @@ SortReport radix_sort(std::span<const word> input, const SortConfig& cfg,
         std::max<std::size_t>(1, w / std::min<std::size_t>(bins, w));
     stats.global_transactions += n / scatter_eff + n / w;
 
-    gpusim::RoundStats round;
-    round.name = "radix pass " + std::to_string(pass);
-    round.kernel = stats;
-    round.modeled_seconds =
-        gpusim::estimate_kernel_time(dev, launch, stats, cal).seconds;
-    gpusim::record_round_telemetry("radix", round.name, cfg.E, cfg.padding,
-                                   stats);
-    report.totals += stats;
-    report.total_time += gpusim::estimate_kernel_time(dev, launch, stats, cal);
-    report.rounds.push_back(std::move(round));
+    report.close_round("radix", "radix pass " + std::to_string(pass), stats,
+                       launch, cal);
   }
 
   WCM_ENSURES(std::is_sorted(data.begin(), data.end()),

@@ -4,6 +4,21 @@
 
 namespace wcm::sort {
 
+namespace {
+
+/// The one call into the cost model per round: keep the seconds on the
+/// round, hand the full time split to the caller's totals.
+gpusim::KernelTime price(gpusim::RoundStats& round, const gpusim::Device& dev,
+                         const gpusim::LaunchConfig& launch,
+                         const gpusim::Calibration& cal) {
+  const gpusim::KernelTime t =
+      gpusim::estimate_kernel_time(dev, launch, round.kernel, cal);
+  round.modeled_seconds = t.seconds;
+  return t;
+}
+
+}  // namespace
+
 double SortReport::throughput() const noexcept {
   if (total_time.seconds <= 0.0) {
     return 0.0;
@@ -24,6 +39,28 @@ double SortReport::conflicts_per_element() const noexcept {
   }
   return static_cast<double>(totals.shared.replays) /
          static_cast<double>(n);
+}
+
+void SortReport::close_round(const char* engine, std::string name,
+                             const gpusim::KernelStats& kernel,
+                             const gpusim::LaunchConfig& launch,
+                             const gpusim::Calibration& cal) {
+  gpusim::RoundStats round{std::move(name), kernel, 0.0};
+  total_time += price(round, device, launch, cal);
+  gpusim::record_round_telemetry(engine, round.name, config.E, config.padding,
+                                 kernel);
+  totals += kernel;
+  rounds.push_back(std::move(round));
+}
+
+void SortReport::reprice(const gpusim::LaunchConfig& launch,
+                         const gpusim::Calibration& cal) {
+  totals = {};
+  total_time = {};
+  for (gpusim::RoundStats& round : rounds) {
+    total_time += price(round, device, launch, cal);
+    totals += round.kernel;
+  }
 }
 
 double SortReport::beta2() const noexcept { return gpusim::beta2(totals); }

@@ -39,6 +39,18 @@ struct SortReport {
   [[nodiscard]] double beta1() const noexcept;
 
   [[nodiscard]] std::string summary() const;
+
+  /// Close one kernel round: price `kernel` once on this report's device,
+  /// record the round's telemetry under `engine`, add it to the totals and
+  /// append it to `rounds`.  Every engine ends each round here.
+  void close_round(const char* engine, std::string name,
+                   const gpusim::KernelStats& kernel,
+                   const gpusim::LaunchConfig& launch,
+                   const gpusim::Calibration& cal);
+  /// Re-price every round on this report's device and rebuild totals and
+  /// total_time from the rounds (after a device change or added traffic).
+  void reprice(const gpusim::LaunchConfig& launch,
+               const gpusim::Calibration& cal);
 };
 
 }  // namespace wcm::sort

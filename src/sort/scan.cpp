@@ -156,16 +156,7 @@ SortReport block_scan(std::span<const word> input, const SortConfig& cfg,
     stats.warp_merge_steps += static_cast<std::size_t>(b / w) * 2 * E;
   }
 
-  gpusim::RoundStats round;
-  round.name = "block-scan";
-  round.kernel = stats;
-  round.modeled_seconds =
-      gpusim::estimate_kernel_time(dev, launch, stats, cal).seconds;
-  gpusim::record_round_telemetry("scan", round.name, cfg.E, cfg.padding,
-                                 stats);
-  report.totals = stats;
-  report.total_time = gpusim::estimate_kernel_time(dev, launch, stats, cal);
-  report.rounds.push_back(std::move(round));
+  report.close_round("scan", "block-scan", stats, launch, cal);
 
   // Host check: inclusive prefix sum.
   if (output != nullptr) {

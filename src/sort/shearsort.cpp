@@ -188,16 +188,7 @@ SortReport shearsort(std::span<const word> input, const SortConfig& cfg,
     }
     stats.elements_processed += n;
 
-    gpusim::RoundStats round;
-    round.name = "shearsort tiles";
-    round.kernel = stats;
-    round.modeled_seconds =
-        gpusim::estimate_kernel_time(dev, launch, stats, cal).seconds;
-    gpusim::record_round_telemetry("shearsort", round.name, cfg.E,
-                                   cfg.padding, stats);
-    report.totals += stats;
-    report.total_time += gpusim::estimate_kernel_time(dev, launch, stats, cal);
-    report.rounds.push_back(std::move(round));
+    report.close_round("shearsort", "shearsort tiles", stats, launch, cal);
   }
 
   // Pairwise merge of sorted runs in global memory: coalesced streaming,
@@ -220,16 +211,9 @@ SortReport shearsort(std::span<const word> input, const SortConfig& cfg,
     stats.blocks_launched += n / (2 * run);
     stats.elements_processed += n;
 
-    gpusim::RoundStats round;
-    round.name = "merge round " + std::to_string(round_idx);
-    round.kernel = stats;
-    round.modeled_seconds =
-        gpusim::estimate_kernel_time(dev, launch, stats, cal).seconds;
-    gpusim::record_round_telemetry("shearsort", round.name, cfg.E,
-                                   cfg.padding, stats);
-    report.totals += stats;
-    report.total_time += gpusim::estimate_kernel_time(dev, launch, stats, cal);
-    report.rounds.push_back(std::move(round));
+    report.close_round("shearsort",
+                       "merge round " + std::to_string(round_idx), stats,
+                       launch, cal);
   }
 
   WCM_ENSURES(std::is_sorted(data.begin(), data.end()),

@@ -9,6 +9,7 @@
 #include "telemetry/span.hpp"
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
+#include "util/json.hpp"
 
 namespace wcm::telemetry {
 
@@ -51,29 +52,6 @@ std::string format_number(double v) {
   os.precision(17);
   os << v;
   return os.str();
-}
-
-void write_json_string(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      default:
-        os << c;
-    }
-  }
-  os << '"';
 }
 
 }  // namespace
@@ -371,15 +349,15 @@ void Snapshot::write_json(std::ostream& os) const {
       os << ',';
     }
     os << "{\"name\":";
-    write_json_string(os, row.name);
+    json::write_string(os, row.name);
     os << ",\"labels\":{";
     for (std::size_t i = 0; i < row.labels.size(); ++i) {
       if (i > 0) {
         os << ',';
       }
-      write_json_string(os, row.labels[i].first);
+      json::write_string(os, row.labels[i].first);
       os << ':';
-      write_json_string(os, row.labels[i].second);
+      json::write_string(os, row.labels[i].second);
     }
     os << "},\"kind\":\"" << to_string(row.kind) << '"';
     switch (row.kind) {

@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "util/check.hpp"
+#include "util/cli.hpp"
 #include "util/rng.hpp"
 
 namespace wcm::workload {
@@ -22,6 +23,16 @@ const char* to_string(InputKind kind) noexcept {
       return "worst-case";
   }
   return "?";
+}
+
+InputKind parse_input_kind(const std::string& name) {
+  std::vector<std::pair<std::string, InputKind>> choices;
+  for (const InputKind kind :
+       {InputKind::random, InputKind::sorted, InputKind::reversed,
+        InputKind::nearly_sorted, InputKind::worst_case}) {
+    choices.emplace_back(to_string(kind), kind);
+  }
+  return cli::parse_choice("input", name, choices);
 }
 
 std::vector<word> random_permutation(std::size_t n, u64 seed) {

@@ -22,6 +22,8 @@ enum class InputKind {
 };
 
 [[nodiscard]] const char* to_string(InputKind kind) noexcept;
+/// Inverse of to_string().  Throws wcm::parse_error naming the valid set.
+[[nodiscard]] InputKind parse_input_kind(const std::string& name);
 
 /// Random permutation of {0..n-1} (Fisher–Yates over Xoshiro256).
 [[nodiscard]] std::vector<word> random_permutation(std::size_t n, u64 seed);

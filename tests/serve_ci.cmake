@@ -18,13 +18,16 @@
 #   6. an injected dispatch fault answers `internal` exactly once and is
 #      never cached — the identical resend computes fresh and succeeds;
 #
-# and, first, that an unknown flag is a usage error naming the flag.
+# and, first, that an unknown flag is a usage error naming the flag and
+# that `wcmd --help` and `wcmgen serve --help` print the same text.
 #
-# Run as:  cmake -DWCMD=<bin> -DLOADGEN=<bin> -DWORKDIR=<dir>
+# Run as:  cmake -DWCMD=<bin> -DWCMGEN=<bin> -DLOADGEN=<bin> -DWORKDIR=<dir>
 #                -P serve_ci.cmake
 
-if(NOT DEFINED WCMD OR NOT DEFINED LOADGEN OR NOT DEFINED WORKDIR)
-  message(FATAL_ERROR "pass -DWCMD=<bin> -DLOADGEN=<bin> -DWORKDIR=<dir>")
+if(NOT DEFINED WCMD OR NOT DEFINED WCMGEN OR NOT DEFINED LOADGEN
+   OR NOT DEFINED WORKDIR)
+  message(FATAL_ERROR
+    "pass -DWCMD=<bin> -DWCMGEN=<bin> -DLOADGEN=<bin> -DWORKDIR=<dir>")
 endif()
 
 file(MAKE_DIRECTORY ${WORKDIR})
@@ -58,6 +61,19 @@ execute_process(COMMAND ${WCMD} --frob
 if(NOT rv EQUAL 2 OR NOT err MATCHES "unknown flag '--frob'")
   message(FATAL_ERROR
     "wcmd --frob: expected exit 2 naming the flag, got ${rv}: ${err}")
+endif()
+
+# One daemon, one help text: both entries print the daemon's flag table.
+execute_process(COMMAND ${WCMD} --help
+                RESULT_VARIABLE rv OUTPUT_VARIABLE wcmd_help)
+execute_process(COMMAND ${WCMGEN} serve --help
+                RESULT_VARIABLE rv2 OUTPUT_VARIABLE serve_help)
+if(NOT rv EQUAL 0 OR NOT rv2 EQUAL 0 OR NOT wcmd_help STREQUAL serve_help)
+  message(FATAL_ERROR "wcmd --help (exit ${rv}) and wcmgen serve --help "
+          "(exit ${rv2}) differ:\n${wcmd_help}\n---\n${serve_help}")
+endif()
+if(NOT wcmd_help MATCHES "--max-connections")
+  message(FATAL_ERROR "daemon help lacks its flag table:\n${wcmd_help}")
 endif()
 
 # ---- 1. determinism across cache states, restarts, and thread counts ------

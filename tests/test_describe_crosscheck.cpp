@@ -22,53 +22,42 @@
 #include "analyze/symbolic/prove.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/trace.hpp"
-#include "sort/bitonic.hpp"
 #include "sort/cpu_reference.hpp"
-#include "sort/multiway.hpp"
-#include "sort/pairwise_sort.hpp"
-#include "sort/radix.hpp"
-#include "sort/shearsort.hpp"
+#include "sort/engines.hpp"
+#include "util/error.hpp"
 #include "workload/inputs.hpp"
 
 namespace wcm {
 namespace {
 
-constexpr u32 kWays = 2;
-constexpr u32 kDigitBits = 1;
+constexpr sort::EngineKnobs kKnobs{.ways = 2, .digit_bits = 1};
 
 /// Run one engine at one grid cell, recording its trace; returns "" when
-/// the engine is inapplicable at this cell (so the caller can count real
+/// the cell is not the engine's own (so the caller can count real
 /// coverage), the failure message when the trace breaks its bounds, and
 /// "ok" otherwise.
-std::string run_cell(const std::string& engine, const sort::SortConfig& base,
+std::string run_cell(const sort::Engine& engine, const sort::SortConfig& base,
                      const gpusim::Device& dev) {
+  const std::string name(engine.name);
   sort::SortConfig cfg = base;
-  gpusim::TraceRecorder rec;
-  cfg.trace_sink = &rec;
   // Two tiles so the global merge rounds (windows in the IR) are exercised.
   const std::size_t n = cfg.tile() * 2;
+  // A cell the engine's shape rule refuses (shearsort needs whole warps
+  // per block) or rewrites (bitonic runs at E = 2 only) is not its own.
+  try {
+    if (engine.shape(cfg, n, kKnobs).cfg.E != cfg.E) {
+      return "";
+    }
+  } catch (const config_error&) {
+    return "";
+  }
+  gpusim::TraceRecorder rec;
+  cfg.trace_sink = &rec;
   const auto input = workload::random_permutation(n, 7 + cfg.E);
   std::vector<dmm::word> out;
-  if (engine == "pairwise") {
-    (void)sort::pairwise_merge_sort(input, cfg, dev,
-                                    sort::MergeSortLibrary::thrust, &out);
-  } else if (engine == "multiway") {
-    (void)sort::multiway_merge_sort(input, cfg, dev, kWays, &out);
-  } else if (engine == "radix") {
-    (void)sort::radix_sort(input, cfg, dev, kDigitBits, &out);
-  } else if (engine == "bitonic") {
-    if (cfg.E != 2) {
-      return "";  // the bitonic engine is specified at E = 2 only
-    }
-    (void)sort::bitonic_sort(input, cfg, dev, &out);
-  } else if (engine == "shearsort") {
-    if (cfg.b % cfg.w != 0) {
-      return "";  // the shearsort mesh needs whole warps per block
-    }
-    (void)sort::shearsort(input, cfg, dev, &out);
-  }
+  (void)engine.run(input, cfg, dev, kKnobs, &out);
   if (out != sort::std_sort(input)) {
-    return engine + " " + cfg.to_string() + ": did not sort";
+    return name + " " + cfg.to_string() + ": did not sort";
   }
 
   analyze::symbolic::ProveOptions popts;
@@ -78,16 +67,16 @@ std::string run_cell(const std::string& engine, const sort::SortConfig& base,
   popts.layout = cfg.layout;
   popts.e_min = cfg.E;
   popts.e_max = cfg.E;
-  popts.ways = kWays;
-  popts.digit_bits = kDigitBits;
-  const auto bounds = analyze::symbolic::prove_engine(engine, popts);
+  popts.ways = kKnobs.ways;
+  popts.digit_bits = kKnobs.digit_bits;
+  const auto bounds = analyze::symbolic::prove_engine(name, popts);
   const auto findings =
       analyze::symbolic::certify_trace(rec.take(), bounds);
   if (findings.empty()) {
     return "ok";
   }
   std::ostringstream os;
-  os << engine << " " << cfg.to_string() << " pad " << cfg.padding
+  os << name << " " << cfg.to_string() << " pad " << cfg.padding
      << " layout " << gpusim::to_string(cfg.layout)
      << " exceeds its symbolic bound:\n";
   for (const auto& d : findings) {
@@ -98,13 +87,14 @@ std::string run_cell(const std::string& engine, const sort::SortConfig& base,
 
 std::size_t sweep_width(u32 w) {
   const auto dev = gpusim::synthetic_device(w);
-  const char* engines[] = {"pairwise", "multiway", "radix", "bitonic",
-                           "shearsort"};
   const gpusim::LayoutKind layouts[] = {gpusim::LayoutKind::linear,
                                         gpusim::LayoutKind::xor_swizzle,
                                         gpusim::LayoutKind::rotation};
   std::size_t covered = 0;
-  for (const char* engine : engines) {
+  for (const sort::Engine& engine : sort::engines()) {
+    if (!engine.sorts()) {
+      continue;  // the phases run inside pairwise
+    }
     for (u32 e = 1; e <= 8; ++e) {
       for (const u32 b : {4u, 8u}) {
         if (b < 2 * w) {

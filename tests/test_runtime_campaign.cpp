@@ -15,6 +15,7 @@
 #include "runtime/scheduler.hpp"
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
+#include "util/json.hpp"
 
 namespace wcm::runtime {
 namespace {
@@ -60,12 +61,12 @@ TEST(CampaignSpecParse, AcceptsTheFullGrammar) {
   EXPECT_EQ(spec.threads, 2u);
   EXPECT_EQ(spec.trace_dir, "traces");
   ASSERT_EQ(spec.grid.size(), 3u);
-  EXPECT_EQ(spec.grid[0].engine, Engine::multiway);
+  EXPECT_EQ(spec.grid[0].engine->name, "multiway");
   EXPECT_EQ(spec.grid[0].E, (std::vector<u32>{3, 5}));
   EXPECT_EQ(spec.grid[0].padding, (std::vector<u32>{0, 1}));
-  EXPECT_EQ(spec.grid[0].ways, 8u);
-  EXPECT_EQ(spec.grid[1].digit_bits, 6u);
-  EXPECT_EQ(spec.grid[2].engine, Engine::bitonic);
+  EXPECT_EQ(spec.grid[0].knobs.ways, 8u);
+  EXPECT_EQ(spec.grid[1].knobs.digit_bits, 6u);
+  EXPECT_EQ(spec.grid[2].engine->name, "bitonic");
 }
 
 TEST(CampaignSpecParse, RejectsUnknownKeysAndValues) {
@@ -137,6 +138,49 @@ TEST(CampaignExpand, ValidatesCellsAgainstConfigAndDevice) {
   auto too_big = parse_campaign_spec(
       R"({"grid": [{"engine": "pairwise", "E": 1000, "b": 512}]})");
   EXPECT_THROW((void)expand(too_big), wcm::error);
+  // Cells their engine's shape rule refuses are config errors up front,
+  // not quarantined at run time: a bitonic power-of-two prefix shorter
+  // than 2b, a one-way multiway merge, a zero-bit radix digit.
+  for (const char* entry :
+       {R"({"engine": "bitonic", "E": 1, "b": 64, "k": [0]})",
+        R"({"engine": "multiway", "E": 5, "b": 64, "k": [1], "ways": 1})",
+        R"({"engine": "radix", "E": 5, "b": 64, "k": [1], "digit_bits": 0})"}) {
+    const auto refused = parse_campaign_spec(
+        std::string(R"({"grid": [)") + entry + "]}");
+    EXPECT_THROW((void)expand(refused), config_error) << entry;
+  }
+}
+
+TEST(CampaignExpand, CanonicalStringsArePinnedPerEngine) {
+  // The canonical string is the WCMC cache key and the input to the cell's
+  // seed: a silent re-key would cold-start every cache.
+  const auto spec = parse_campaign_spec(R"({
+    "name": "pin", "device": "m4000", "seed": 5,
+    "grid": [
+      {"engine": "pairwise", "E": 5, "b": 64, "k": [1]},
+      {"engine": "multiway", "E": 5, "b": 64, "k": [1], "ways": 2},
+      {"engine": "bitonic", "E": 5, "b": 64, "k": [1]},
+      {"engine": "radix", "E": 5, "b": 64, "k": [1], "digit_bits": 8}
+    ]
+  })");
+  const auto cells = expand(spec);
+  ASSERT_EQ(cells.size(), 4u);
+  const std::string head = "wcmc1|device=Quadro M4000|engine=";
+  const std::string shape =
+      "|lib=thrust|E=5|b=64|w=32|pad=0|refills=0|input=random|k=1|n=640";
+  EXPECT_EQ(cells[0].canonical, head + "pairwise" + shape +
+                                    "|ways=0|bits=0|seed=6381083369660494635");
+  EXPECT_EQ(cells[1].canonical, head + "multiway" + shape +
+                                    "|ways=2|bits=0|seed=9371436888769560007");
+  EXPECT_EQ(cells[2].canonical, head + "bitonic" + shape +
+                                    "|ways=0|bits=0|seed=7051672420383004039");
+  EXPECT_EQ(cells[3].canonical,
+            head + "radix" + shape +
+                "|ways=0|bits=8|seed=16788372982590457524");
+  EXPECT_EQ(cells[0].label, "pairwise/thrust E=5 b=64 w=32 pad=0 random k=1");
+  EXPECT_EQ(cells[1].label,
+            "multiway E=5 b=64 w=32 pad=0 ways=2 random k=1");
+  EXPECT_EQ(cells[3].label, "radix E=5 b=64 w=32 pad=0 bits=8 random k=1");
 }
 
 TEST(CampaignRun, ByteIdenticalAcrossThreadCountsAndCacheStates) {
@@ -219,25 +263,47 @@ TEST(CampaignRun, TraceDirRecordsOneTracePerCell) {
 }
 
 TEST(CampaignRun, AllEnginesExecute) {
-  const auto spec = parse_campaign_spec(R"({
-    "name": "engines", "device": "m4000", "seed": 5,
-    "grid": [
-      {"engine": "pairwise", "E": 5, "b": 64, "k": [1]},
-      {"engine": "multiway", "E": 5, "b": 64, "k": [1], "ways": 2},
-      {"engine": "bitonic", "E": 5, "b": 64, "k": [1]},
-      {"engine": "radix", "E": 5, "b": 64, "k": [1], "digit_bits": 8}
-    ]
-  })");
+  // One cell per sorting row of the engine table; each engine reads only
+  // its own knobs, so every entry may carry them all.
+  std::string grid;
+  std::vector<std::string> names;
+  for (const sort::Engine& engine : sort::engines()) {
+    if (!engine.sorts()) {
+      continue;
+    }
+    names.emplace_back(engine.name);
+    grid += std::string(grid.empty() ? "" : ",") + R"({"engine": ")" +
+            names.back() +
+            R"(", "E": 5, "b": 64, "k": [1], "ways": 2, "digit_bits": 8})";
+  }
+  const auto spec = parse_campaign_spec(
+      R"({"name": "engines", "device": "m4000", "seed": 5, "grid": [)" +
+      grid + "]}");
   CampaignOptions opts;
   opts.threads = 2;
   opts.use_cache = false;
   const auto outcome = run_campaign(spec, opts);
-  EXPECT_EQ(outcome.cells, 4u);
-  for (const char* engine : {"pairwise", "multiway", "bitonic", "radix"}) {
-    EXPECT_NE(outcome.json.find(std::string("\"engine\":\"") + engine + "\""),
+  EXPECT_EQ(outcome.cells, names.size());
+  EXPECT_TRUE(outcome.quarantined.empty());
+  for (const std::string& engine : names) {
+    EXPECT_NE(outcome.json.find("\"engine\":\"" + engine + "\""),
               std::string::npos)
         << engine;
   }
+}
+
+TEST(CampaignRun, ControlBytesInTheNameStayValidJson) {
+  const auto spec = parse_campaign_spec(R"({
+    "name": "a\tb",
+    "grid": [{"engine": "pairwise", "E": 5, "b": 64, "k": [1]}]
+  })");
+  ASSERT_EQ(spec.name, "a\tb");
+  CampaignOptions opts;
+  opts.threads = 1;
+  opts.use_cache = false;
+  const auto outcome = run_campaign(spec, opts);
+  const json::Value doc = json::parse(outcome.json);
+  EXPECT_EQ(doc.as_object().at("campaign").as_string(), "a\tb");
 }
 
 /// Unique journal path per test (gtest runs each TEST in its own ctest

@@ -125,6 +125,22 @@ TEST(ServeDaemon, GenerateIsByteIdenticalColdAndWarm) {
   EXPECT_EQ(cold, warm);  // the serve determinism contract, byte for byte
 }
 
+TEST(ServeDaemon, CampaignNamedWithATabAnswersOk) {
+  ServerConfig cfg;
+  cfg.socket = test_socket("tabname");
+  RunningServer rs(cfg);
+  Client client = connect_with_retry(cfg.socket, kConnectTimeoutMs);
+  const auto resp = response_of(client.roundtrip(
+      R"({"op":"campaign","id":"c","params":{"spec":{"name":"a\tb",)"
+      R"("grid":[{"engine":"pairwise","E":5,"b":64,"k":[1]}]}}})"));
+  ASSERT_TRUE(resp.at("ok").as_bool());
+  const json::Object& result = resp.at("result").as_object();
+  EXPECT_EQ(result.at("name").as_string(), "a\tb");
+  EXPECT_EQ(
+      result.at("aggregate").as_object().at("campaign").as_string(),
+      "a\tb");
+}
+
 TEST(ServeDaemon, MalformedRequestsGetTypedErrorsAndServiceContinues) {
   ServerConfig cfg;
   cfg.socket = test_socket("corpus");

@@ -8,12 +8,14 @@
 
 #include <numeric>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "analyze/symbolic/prove.hpp"
 #include "analyze/symbolic/theorems.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/trace.hpp"
+#include "sort/engines.hpp"
 #include "sort/pairwise_sort.hpp"
 #include "util/error.hpp"
 
@@ -104,6 +106,27 @@ TEST(Prove, UnknownEngineThrowsParseError) {
   ProveOptions opts;
   EXPECT_THROW((void)prove_engine("quicksort", opts), parse_error);
   EXPECT_THROW((void)prove({"pairwise", "quicksort"}, opts), parse_error);
+}
+
+TEST(EngineTable, NamesAreAllEnginesInOrder) {
+  std::vector<std::string> names;
+  for (const sort::Engine& engine : sort::engines()) {
+    names.emplace_back(engine.name);
+  }
+  EXPECT_EQ(names, all_engines());
+}
+
+TEST(EngineTable, UnknownNameThrowsListingEveryRow) {
+  try {
+    (void)sort::find_engine("quicksort");
+    FAIL() << "find_engine accepted an unknown name";
+  } catch (const parse_error& e) {
+    const std::string message = e.what();
+    for (const sort::Engine& engine : sort::engines()) {
+      EXPECT_NE(message.find(std::string(engine.name)), std::string::npos)
+          << engine.name << " missing from: " << message;
+    }
+  }
 }
 
 TEST(Prove, JsonReportIsDeterministicAndDigested) {

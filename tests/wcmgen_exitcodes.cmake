@@ -38,9 +38,9 @@ expect_exit(2 ${WCMGEN} prove --bs 64,128)  # grid axes need --certify
 # a switch never takes the next token: the stray 7 is refused
 expect_exit(2 ${WCMGEN} prove --any-E 7)
 
-# The unknown-engine diagnostic must enumerate the registry (one list in
-# prove.cpp feeds the error, all_engines(), and the describers), so a new
-# engine can never be registered half-way.
+# The unknown-engine diagnostic must enumerate the engine table (one row
+# per engine in src/sort/engines.cpp feeds the error, all_engines(), the
+# describers and every run), so a new engine can never be added half-way.
 execute_process(COMMAND ${WCMGEN} prove --engine quicksort
                 RESULT_VARIABLE rv OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rv EQUAL 2)
@@ -84,6 +84,8 @@ expect_exit(4 ${WCMGEN} prove --w 15)              # w not a power of two
 expect_exit(4 ${WCMGEN} prove --b 7)               # b not a power of two
 expect_exit(4 ${WCMGEN} sort --E 5 --b 32 --w 32)   # b < 2w
 expect_exit(4 ${WCMGEN} sort --E 5 --b 63)          # b not a power of two
+expect_exit(4 ${WCMGEN} sort --E 5 --b 64 --k 1 --algorithm multiway
+            --ways 1)                                # the engine's shape rule
 
 # bad input file -> 3
 expect_exit(3 ${WCMGEN} inspect --in ${WORKDIR}/definitely-missing.wcmi)
@@ -118,6 +120,7 @@ expect_exit(5 ${CMAKE_COMMAND} -E env WCM_FAILPOINTS=sim.smem.alloc
 
 # happy path: generate, inspect round-trip -> 0
 expect_exit(0 ${WCMGEN} generate --E 5 --b 64 --k 1 --layout xor)
+expect_exit(0 ${WCMGEN} sort --E 5 --b 64 --k 1 --device gtx770)
 expect_exit(0 ${WCMGEN} generate --E 5 --b 64 --k 1
             --out ${WORKDIR}/exitcode_ok.wcmi)
 expect_exit(0 ${WCMGEN} inspect --in ${WORKDIR}/exitcode_ok.wcmi)
@@ -144,7 +147,15 @@ expect_exit(6 ${CMAKE_COMMAND} -E env WCM_FAILPOINTS=runtime.worker.job
 # the spec operand may follow a switch (--quiet takes no value)
 expect_exit(0 ${WCMGEN} campaign --quiet ${WORKDIR}/exitcode_campaign.json
             --no-cache)
+# a cell its engine's shape rule refuses is a bad configuration -> 4,
+# before any cell runs (not a quarantined cell and exit 6)
+file(WRITE ${WORKDIR}/exitcode_refused.json
+     [[{"grid": [{"engine": "multiway", "E": 5, "b": 64, "ways": 1}]}]])
+expect_exit(4 ${WCMGEN} campaign ${WORKDIR}/exitcode_refused.json
+            --no-cache --quiet)
 
 file(REMOVE ${WORKDIR}/exitcode_corrupt.wcmi ${WORKDIR}/exitcode_ok.wcmi
      ${WORKDIR}/exitcode_campaign.json
-     ${WORKDIR}/exitcode_campaign.json.wcmj)
+     ${WORKDIR}/exitcode_campaign.json.wcmj
+     ${WORKDIR}/exitcode_refused.json
+     ${WORKDIR}/exitcode_refused.json.wcmj)
