@@ -1,44 +1,48 @@
 #include "runtime/cache.hpp"
 
-#include <algorithm>
 #include <charconv>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
+#include <string_view>
 
 #include "telemetry/registry.hpp"
 #include "telemetry/span.hpp"
 #include "util/check.hpp"
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
+#include "util/framed.hpp"
 
 namespace wcm::runtime {
 
 namespace {
 
-constexpr char kMagic[4] = {'W', 'C', 'M', 'C'};
+constexpr std::string_view kMagic = "WCMC";
 
 /// Bump whenever the meaning of cached metrics changes (new cost model,
 /// new aggregation): every existing cache entry must miss afterwards.
 constexpr const char* kResultFormat = "wcmc-metrics-1";
 
-template <typename T>
-void write_pod(std::ostream& os, u64& h, const T& v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
-  h = fnv1a(h, &v, sizeof(v));
-}
-
-template <typename T>
-T read_pod(std::istream& is, u64& h, const char* what) {
-  T v{};
-  is.read(reinterpret_cast<char*>(&v), sizeof(v));
-  WCM_CHECK_IO(static_cast<bool>(is), std::string("truncated WCMC file (") +
-                                          what + ")");
-  h = fnv1a(h, &v, sizeof(v));
-  return v;
-}
-
 }  // namespace
+
+void put_metrics(framed::Writer& out, const CellMetrics& m) {
+  out.put(m.n);
+  out.put(m.seconds);
+  out.put(m.throughput);
+  out.put(m.conflicts_per_element);
+  out.put(m.beta1);
+  out.put(m.beta2);
+}
+
+CellMetrics get_metrics(framed::Reader& in) {
+  CellMetrics m;
+  m.n = in.get<u64>("record n");
+  m.seconds = in.get<double>("record seconds");
+  m.throughput = in.get<double>("record throughput");
+  m.conflicts_per_element = in.get<double>("record conflicts");
+  m.beta1 = in.get<double>("record beta1");
+  m.beta2 = in.get<double>("record beta2");
+  return m;
+}
 
 u64 code_version_salt() {
   u64 h = fnv1a(fnv_offset_basis, std::string_view(kResultFormat));
@@ -51,10 +55,10 @@ u64 code_version_salt() {
   return h;
 }
 
-u64 cache_max_from_env() {
+u64 unsigned_env(const char* name) {
   // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only env probe; nothing
   // in the process calls setenv.
-  const char* env = std::getenv("WCM_CACHE_MAX");
+  const char* env = std::getenv(name);
   if (env == nullptr || *env == '\0') {
     return 0;
   }
@@ -62,8 +66,8 @@ u64 cache_max_from_env() {
   const char* end = env + std::strlen(env);
   const auto [ptr, err] = std::from_chars(env, end, value);
   WCM_CHECK_CONFIG(err == std::errc() && ptr == end,
-                   std::string("invalid WCM_CACHE_MAX value '") + env +
-                       "' (expected an unsigned integer; 0 = unbounded)");
+                   std::string("invalid ") + name + " value '" + env +
+                       "' (expected an unsigned integer)");
   return value;
 }
 
@@ -126,63 +130,29 @@ ResultCache ResultCache::load(const std::filesystem::path& path, u64 salt) {
   if (!std::filesystem::exists(path, ec) || ec) {
     return cache;  // cold start
   }
-  std::ifstream is(path, std::ios::binary);
   WCM_FAILPOINT("runtime.cache.load", io_error,
                 "injected cache read failure");
-  // Any WCM_CHECK_IO below this point is a corrupt-file rejection; count
-  // them so operators can spot a rotting cache without scraping logs.
-  struct CorruptCounter {
-    bool disarm = false;
-    ~CorruptCounter() {
-      if (!disarm && telemetry::enabled()) {
-        telemetry::registry().counter("runtime.cache.corrupt").add(1);
-      }
-    }
-  } corrupt_counter;
-  WCM_CHECK_IO(is.is_open(), "cannot open cache file: " + path.string());
-
-  u64 h = fnv_offset_basis;
-  char magic[4] = {};
-  is.read(magic, sizeof(magic));
-  WCM_CHECK_IO(static_cast<bool>(is) && std::equal(magic, magic + 4, kMagic),
-               "not a WCMC file: " + path.string());
-  h = fnv1a(h, magic, sizeof(magic));
-
-  const auto version = read_pod<std::uint32_t>(is, h, "version");
-  WCM_CHECK_IO(version == wcmc_version,
-               "unsupported WCMC version " + std::to_string(version) + ": " +
-                   path.string());
-  const u64 file_salt = read_pod<u64>(is, h, "salt");
-  const u64 count = read_pod<u64>(is, h, "count");
-  WCM_CHECK_IO(count <= max_wcmc_records,
-               "WCMC record count " + std::to_string(count) +
-                   " exceeds the format cap (corrupt header?): " +
-                   path.string());
-
+  u64 file_salt = 0;
   std::map<u64, CellMetrics> entries;
-  for (u64 i = 0; i < count; ++i) {
-    const u64 key = read_pod<u64>(is, h, "record key");
-    CellMetrics m;
-    m.n = read_pod<u64>(is, h, "record n");
-    m.seconds = read_pod<double>(is, h, "record seconds");
-    m.throughput = read_pod<double>(is, h, "record throughput");
-    m.conflicts_per_element = read_pod<double>(is, h, "record conflicts");
-    m.beta1 = read_pod<double>(is, h, "record beta1");
-    m.beta2 = read_pod<double>(is, h, "record beta2");
-    entries[key] = m;
+  try {
+    framed::Reader in(kMagic, path);
+    in.magic();
+    in.version({wcmc_version});
+    file_salt = in.get<u64>("salt");
+    const u64 count = in.count("record count", max_wcmc_records);
+    for (u64 i = 0; i < count; ++i) {
+      const u64 key = in.get<u64>("record key");
+      entries[key] = get_metrics(in);
+    }
+    in.seal();
+    in.end();
+  } catch (...) {
+    // Counted so operators can spot a rotting cache without scraping logs.
+    if (telemetry::enabled()) {
+      telemetry::registry().counter("runtime.cache.corrupt").add(1);
+    }
+    throw;
   }
-
-  const u64 expected = h;  // checksum covers everything before itself
-  u64 ignored = fnv_offset_basis;
-  const u64 stored = read_pod<u64>(is, ignored, "checksum");
-  WCM_CHECK_IO(stored == expected,
-               "WCMC checksum mismatch (corrupt file): " + path.string());
-  char extra = 0;
-  is.read(&extra, 1);
-  WCM_CHECK_IO(is.eof(), "trailing bytes after WCMC checksum: " +
-                             path.string());
-
-  corrupt_counter.disarm = true;
   if (file_salt != salt) {
     if (telemetry::enabled()) {
       telemetry::registry().counter("runtime.cache.salt_mismatch").add(1);
@@ -207,30 +177,17 @@ ResultCache ResultCache::load(const std::filesystem::path& path, u64 salt) {
 
 void ResultCache::store(const std::filesystem::path& path) const {
   WCM_SPAN("cache.store");
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  framed::Writer out(kMagic, wcmc_version);
+  out.put(salt_);
+  out.put(static_cast<u64>(entries_.size()));
+  for (const auto& [key, m] : entries_) {
+    out.put(key);
+    put_metrics(out, m);
+  }
+  out.seal();
   WCM_FAILPOINT("runtime.cache.store", io_error,
                 "injected cache write failure");
-  WCM_CHECK_IO(os.is_open(), "cannot open cache file for writing: " +
-                                 path.string());
-  u64 h = fnv_offset_basis;
-  os.write(kMagic, sizeof(kMagic));
-  h = fnv1a(h, kMagic, sizeof(kMagic));
-  write_pod(os, h, wcmc_version);
-  write_pod(os, h, salt_);
-  const u64 count = entries_.size();
-  write_pod(os, h, count);
-  for (const auto& [key, m] : entries_) {
-    write_pod(os, h, key);
-    write_pod(os, h, m.n);
-    write_pod(os, h, m.seconds);
-    write_pod(os, h, m.throughput);
-    write_pod(os, h, m.conflicts_per_element);
-    write_pod(os, h, m.beta1);
-    write_pod(os, h, m.beta2);
-  }
-  const u64 checksum = h;
-  os.write(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
-  WCM_CHECK_IO(static_cast<bool>(os), "cache write failed: " + path.string());
+  framed::replace_file(path, out.bytes(), kMagic);
 }
 
 }  // namespace wcm::runtime

@@ -10,18 +10,11 @@
 // what the figures plot, and they keep the file a few dozen bytes per
 // cell).
 //
-// On-disk WCMC format, version 1 (little-endian), mirroring WCMI v2:
-//   magic    "WCMC"          4 bytes
-//   version  u32             currently 1
-//   salt     u64             code-version salt the entries were computed at
-//   count    u64             number of records
-//   records  count x { key u64, n u64, seconds f64, throughput f64,
-//                      conflicts_per_element f64, beta1 f64, beta2 f64 }
-//   checksum u64             FNV-1a over every preceding byte
-//
-// load() discards a file whose salt differs from the current salt (that is
-// the invalidation mechanism: bump the salt, every entry misses) and
-// throws wcm::io_error on a corrupt file, exactly like WCMI.
+// On disk a WCMC file (docs/RUNTIME.md) is a util/framed.hpp file of the
+// salt, a record count and (key, CellMetrics) records.  load() discards a
+// file whose salt differs from the current salt (that is the invalidation
+// mechanism: bump the salt, every entry misses) and throws wcm::io_error
+// on a corrupt file.
 
 #include <cstdint>
 #include <filesystem>
@@ -30,6 +23,7 @@
 #include <string>
 
 #include "runtime/lru.hpp"
+#include "util/framed.hpp"
 #include "util/hash.hpp"
 #include "util/math.hpp"
 
@@ -44,9 +38,15 @@ namespace wcm::runtime {
 /// tests and operators use to force a cold cache without deleting files.
 [[nodiscard]] u64 code_version_salt();
 
+/// Strict parse of an unsigned environment variable (0 when unset or
+/// empty): garbage is a wcm::config_error, never a silent default.
+[[nodiscard]] u64 unsigned_env(const char* name);
+
 /// Entry bound from the WCM_CACHE_MAX environment variable (0 or unset =
 /// unbounded).  Throws wcm::config_error on a malformed value.
-[[nodiscard]] u64 cache_max_from_env();
+[[nodiscard]] inline u64 cache_max_from_env() {
+  return unsigned_env("WCM_CACHE_MAX");
+}
 
 /// Flat metrics of one computed campaign cell.
 struct CellMetrics {
@@ -59,6 +59,10 @@ struct CellMetrics {
 
   bool operator==(const CellMetrics&) const = default;
 };
+
+/// CellMetrics' 48-byte record layout, shared by WCMC and WCMJ records.
+void put_metrics(framed::Writer& out, const CellMetrics& m);
+[[nodiscard]] CellMetrics get_metrics(framed::Reader& in);
 
 /// Hard cap on records in a WCMC file; load() rejects larger counts as
 /// corrupt before allocating (same defense as WCMI's max_wcmi_keys).
@@ -107,8 +111,9 @@ class ResultCache {
   [[nodiscard]] static ResultCache load(const std::filesystem::path& path,
                                         u64 salt);
 
-  /// Write every entry to `path` (atomic enough for a cache: whole-file
-  /// rewrite).  Throws wcm::io_error on failure.
+  /// Write every entry to `path` through a sibling temporary renamed over
+  /// it, so a failed store leaves the previous file intact.  Throws
+  /// wcm::io_error on failure.
   void store(const std::filesystem::path& path) const;
 
  private:

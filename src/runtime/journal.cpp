@@ -1,8 +1,7 @@
 #include "runtime/journal.hpp"
 
-#include <charconv>
 #include <cstdlib>
-#include <cstring>
+#include <string_view>
 
 #include "runtime/campaign.hpp"
 #include "telemetry/registry.hpp"
@@ -10,71 +9,16 @@
 #include "util/check.hpp"
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
+#include "util/framed.hpp"
 
 namespace wcm::runtime {
 
 namespace {
 
-constexpr char kMagic[4] = {'W', 'C', 'M', 'J'};
+constexpr std::string_view kMagic = "WCMJ";
 constexpr std::size_t kHeaderBytes = 4 + 4 + 8 + 8 + 8;
+constexpr std::size_t kHeaderFields = 8 + 8;  // salt + fingerprint
 constexpr std::size_t kPayloadBytes = 8 + 8 + 5 * 8;  // key + CellMetrics
-constexpr std::size_t kRecordBytes = kPayloadBytes + 8;  // + chain word
-
-template <typename T>
-void put(char* buf, std::size_t& off, const T& v) {
-  std::memcpy(buf + off, &v, sizeof(v));
-  off += sizeof(v);
-}
-
-template <typename T>
-T get(const char* buf, std::size_t& off) {
-  T v{};
-  std::memcpy(&v, buf + off, sizeof(v));
-  off += sizeof(v);
-  return v;
-}
-
-/// Serialize header fields (without the trailing header_sum).
-void build_header_prefix(char (&buf)[kHeaderBytes], u64 salt,
-                         u64 fingerprint) {
-  std::size_t off = 0;
-  std::memcpy(buf + off, kMagic, sizeof(kMagic));
-  off += sizeof(kMagic);
-  put(buf, off, wcmj_version);
-  put(buf, off, salt);
-  put(buf, off, fingerprint);
-}
-
-void build_payload(char (&buf)[kPayloadBytes], u64 key,
-                   const CellMetrics& m) {
-  std::size_t off = 0;
-  put(buf, off, key);
-  put(buf, off, m.n);
-  put(buf, off, m.seconds);
-  put(buf, off, m.throughput);
-  put(buf, off, m.conflicts_per_element);
-  put(buf, off, m.beta1);
-  put(buf, off, m.beta2);
-}
-
-/// Strict parse of the WCM_CHAOS_KILL_AFTER chaos hook (0/unset =
-/// disabled); garbage is a configuration error, not a silent no-op — a
-/// chaos harness that typos the hook must find out.
-u64 kill_after_from_env() {
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only env probe; nothing
-  // in the process calls setenv.
-  const char* env = std::getenv("WCM_CHAOS_KILL_AFTER");
-  if (env == nullptr || *env == '\0') {
-    return 0;
-  }
-  u64 value = 0;
-  const char* end = env + std::strlen(env);
-  const auto [ptr, err] = std::from_chars(env, end, value);
-  WCM_CHECK_CONFIG(err == std::errc() && ptr == end,
-                   std::string("invalid WCM_CHAOS_KILL_AFTER value '") + env +
-                       "' (expected an unsigned integer)");
-  return value;
-}
 
 }  // namespace
 
@@ -96,20 +40,9 @@ JournalReplay replay_journal(const std::filesystem::path& path, u64 salt,
   if (!std::filesystem::exists(path, ec) || ec) {
     return replay;  // fresh start
   }
-  std::ifstream is(path, std::ios::binary);
-  WCM_CHECK_IO(is.is_open(), "cannot open journal file: " + path.string());
-  const std::vector<char> bytes{std::istreambuf_iterator<char>(is),
-                                std::istreambuf_iterator<char>()};
-  WCM_CHECK_IO(!is.bad(), "cannot read journal file: " + path.string());
-  if (bytes.empty()) {
+  framed::Reader in(kMagic, path);
+  if (in.remaining() == 0) {
     return replay;  // an empty file is a fresh start, not corruption
-  }
-
-  // A non-empty file that is recognizably not WCMJ must never be
-  // overwritten by the writer: surface it instead of truncating.
-  if (bytes.size() >= sizeof(kMagic)) {
-    WCM_CHECK_IO(std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) == 0,
-                 "not a WCMJ journal file: " + path.string());
   }
   const auto torn_header = [&replay] {
     replay.truncated = true;  // header never finished: rewrite from scratch
@@ -118,23 +51,21 @@ JournalReplay replay_journal(const std::filesystem::path& path, u64 salt,
     }
     return replay;
   };
-  if (bytes.size() < kHeaderBytes) {
+  // A non-empty file that is recognizably not WCMJ must never be
+  // overwritten by the writer: surface it instead of truncating.
+  if (in.size() >= kMagic.size()) {
+    in.magic();
+  }
+  if (in.size() < kHeaderBytes) {
     return torn_header();
   }
-
-  std::size_t off = sizeof(kMagic);
-  const auto version = get<std::uint32_t>(bytes.data(), off);
-  WCM_CHECK_IO(version == wcmj_version,
-               "unsupported WCMJ version " + std::to_string(version) + ": " +
-                   path.string());
-  const u64 file_salt = get<u64>(bytes.data(), off);
-  const u64 file_fingerprint = get<u64>(bytes.data(), off);
-  const u64 stored_header_sum = get<u64>(bytes.data(), off);
-  const u64 header_sum =
-      fnv1a(fnv_offset_basis, bytes.data(), kHeaderBytes - sizeof(u64));
-  if (stored_header_sum != header_sum) {
+  in.version({wcmj_version});
+  if (!in.sealed_ahead(kHeaderFields)) {
     return torn_header();
   }
+  const u64 file_salt = in.get<u64>("salt");
+  const u64 file_fingerprint = in.get<u64>("fingerprint");
+  (void)in.get<u64>("header_sum");  // hashed on like any field; seals are not
   if (file_salt != salt || file_fingerprint != fingerprint) {
     replay.compatible = false;  // different code version or spec
     if (telemetry::enabled()) {
@@ -143,34 +74,19 @@ JournalReplay replay_journal(const std::filesystem::path& path, u64 salt,
     return replay;
   }
 
-  u64 chain = fnv1a(fnv_offset_basis, bytes.data(), kHeaderBytes);
-  replay.valid_bytes = kHeaderBytes;
-  replay.chain = chain;
-  std::size_t p = kHeaderBytes;
-  while (bytes.size() - p >= kRecordBytes &&
-         replay.records.size() < max_wcmj_records) {
-    const u64 next = fnv1a(chain, bytes.data() + p, kPayloadBytes);
-    std::size_t chain_off = p + kPayloadBytes;
-    const u64 stored = get<u64>(bytes.data(), chain_off);
-    if (stored != next) {
-      break;  // flipped byte or torn write: drop this record and the tail
-    }
+  replay.valid_bytes = in.offset();
+  replay.chain = in.hash();
+  while (replay.records.size() < max_wcmj_records &&
+         in.sealed_ahead(kPayloadBytes)) {
     JournalRecord rec;
-    std::size_t field = p;
-    rec.key = get<u64>(bytes.data(), field);
-    rec.metrics.n = get<u64>(bytes.data(), field);
-    rec.metrics.seconds = get<double>(bytes.data(), field);
-    rec.metrics.throughput = get<double>(bytes.data(), field);
-    rec.metrics.conflicts_per_element = get<double>(bytes.data(), field);
-    rec.metrics.beta1 = get<double>(bytes.data(), field);
-    rec.metrics.beta2 = get<double>(bytes.data(), field);
+    rec.key = in.get<u64>("record key");
+    rec.metrics = get_metrics(in);
+    in.seal();
     replay.records.push_back(rec);
-    chain = next;
-    p += kRecordBytes;
-    replay.valid_bytes = p;
-    replay.chain = chain;
+    replay.valid_bytes = in.offset();
+    replay.chain = in.hash();
   }
-  replay.truncated = p < bytes.size();
+  replay.truncated = in.remaining() > 0;
 
   if (telemetry::enabled()) {
     telemetry::Registry& reg = telemetry::registry();
@@ -184,7 +100,9 @@ JournalReplay replay_journal(const std::filesystem::path& path, u64 salt,
 
 JournalWriter::JournalWriter(std::filesystem::path path, u64 salt,
                              u64 fingerprint, const JournalReplay& replay)
-    : path_(std::move(path)), kill_after_(kill_after_from_env()) {
+    : path_(std::move(path)),
+      // A chaos harness that typos the hook must find out: strict parse.
+      kill_after_(unsigned_env("WCM_CHAOS_KILL_AFTER")) {
   if (replay.compatible && replay.valid_bytes >= kHeaderBytes) {
     // Keep the valid prefix: physically drop any torn tail, then append.
     std::error_code ec;
@@ -203,45 +121,34 @@ JournalWriter::JournalWriter(std::filesystem::path path, u64 salt,
   // Fresh start (new journal, torn header, or incompatible file).  Never
   // clobber a file that is recognizably not WCMJ — a fat-fingered
   // --journal path must not erase unrelated data.
-  {
-    std::ifstream probe(path_, std::ios::binary);
-    if (probe.is_open()) {
-      char magic[sizeof(kMagic)] = {};
-      probe.read(magic, sizeof(magic));
-      if (probe.gcount() == sizeof(magic)) {
-        WCM_CHECK_IO(std::memcmp(magic, kMagic, sizeof(magic)) == 0,
-                     "refusing to overwrite non-WCMJ file: " + path_.string());
-      }
-    }
-  }
+  WCM_CHECK_IO(!framed::foreign(path_, kMagic),
+               "refusing to overwrite non-WCMJ file: " + path_.string());
   os_.open(path_, std::ios::binary | std::ios::trunc);
   WCM_CHECK_IO(os_.is_open(),
                "cannot open journal for writing: " + path_.string());
-  char header[kHeaderBytes];
-  build_header_prefix(header, salt, fingerprint);
-  const u64 header_sum =
-      fnv1a(fnv_offset_basis, header, kHeaderBytes - sizeof(u64));
-  std::size_t off = kHeaderBytes - sizeof(u64);
-  put(header, off, header_sum);
-  os_.write(header, kHeaderBytes);
+  framed::Writer header(kMagic, wcmj_version);
+  header.put(salt);
+  header.put(fingerprint);
+  header.put(header.hash());  // header_sum, chained into every record seal
+  os_ << header.bytes();
   os_.flush();
   WCM_CHECK_IO(static_cast<bool>(os_),
                "journal header write failed: " + path_.string());
-  chain_ = fnv1a(fnv_offset_basis, header, kHeaderBytes);
+  chain_ = header.hash();
 }
 
 void JournalWriter::append(u64 key, const CellMetrics& metrics) {
   WCM_FAILPOINT("runtime.journal.append", io_error,
                 "injected journal append failure: " + path_.string());
-  char payload[kPayloadBytes];
-  build_payload(payload, key, metrics);
-  const u64 next = fnv1a(chain_, payload, kPayloadBytes);
-  os_.write(payload, kPayloadBytes);
-  os_.write(reinterpret_cast<const char*>(&next), sizeof(next));
+  framed::Writer record(chain_);
+  record.put(key);
+  put_metrics(record, metrics);
+  record.seal();  // the chain word: every payload byte of the file so far
+  os_ << record.bytes();
   os_.flush();
   WCM_CHECK_IO(static_cast<bool>(os_),
                "journal append failed: " + path_.string());
-  chain_ = next;
+  chain_ = record.hash();
   ++appended_;
   if (telemetry::enabled()) {
     telemetry::registry().counter("runtime.journal.appended").add(1);

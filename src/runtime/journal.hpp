@@ -10,24 +10,12 @@
 // record is the *expected* crash artifact, not corruption worth dying
 // over), and the campaign re-schedules only the cells that are missing.
 //
-// On-disk WCMJ format, version 1 (little-endian):
-//   magic        "WCMJ"   4 bytes
-//   version      u32      currently 1
-//   salt         u64      code-version salt (runtime/cache.hpp)
-//   fingerprint  u64      campaign_fingerprint() of the expanded cells
-//   header_sum   u64      FNV-1a over the preceding 24 bytes
-//   records      repeated 64-byte records:
-//     key        u64      cache key of the cell (ResultCache::key_of)
-//     n          u64      CellMetrics payload...
-//     seconds    f64
-//     throughput f64
-//     conflicts  f64
-//     beta1      f64
-//     beta2      f64      ...CellMetrics payload ends
-//     chain      u64      FNV-1a over every payload byte of the file so
-//                         far (header included, prior chain words
-//                         excluded) — a flipped byte anywhere invalidates
-//                         this and every later record
+// On disk a WCMJ file (docs/RUNTIME.md) is a util/framed.hpp file of the
+// salt, the campaign_fingerprint() and a header_sum (the running hash of
+// the bytes before it, chained on like any field), then 64-byte (key,
+// CellMetrics) records, each sealed by the running hash of every byte
+// before it, earlier seals excluded: a flipped byte anywhere invalidates
+// that record and every later one.
 //
 // A salt or fingerprint mismatch marks the journal incompatible (the code
 // or the spec changed): replay returns no records and the writer starts

@@ -91,16 +91,16 @@ std::string run_campaign(const Request& req, const ServerConfig& cfg,
 
   runtime::CampaignOptions opts;
   opts.threads = cfg.threads;
-  opts.use_cache = !cfg.data_dir.empty();
+  opts.use_cache = false;
   opts.cancel = drain;
   if (!cfg.data_dir.empty()) {
-    // Durable state is keyed by the canonical request, so resubmitting the
-    // identical campaign resumes its journal and reuses its cell cache.
+    // Durable state is keyed by the canonical request, which fixes the
+    // spec and so the journal fingerprint: the journal alone holds every
+    // cell a resubmission can reuse, so no WCMC cache is kept beside it.
     const std::string stem =
         "campaign-" + hex_u64(fnv1a(canonical_request(req)));
-    const std::filesystem::path dir(cfg.data_dir);
-    opts.cache_path = dir / (stem + ".wcmc");
-    opts.journal_path = dir / (stem + ".wcmj");
+    opts.journal_path =
+        std::filesystem::path(cfg.data_dir) / (stem + ".wcmj");
     opts.resume = true;
   }
   const auto outcome = runtime::run_campaign(spec, opts);
@@ -108,7 +108,6 @@ std::string run_campaign(const Request& req, const ServerConfig& cfg,
     telemetry::Registry& reg = telemetry::registry();
     reg.counter("serve.campaign.cells").add(outcome.cells);
     reg.counter("serve.campaign.computed").add(outcome.computed);
-    reg.counter("serve.campaign.cached").add(outcome.cache_hits);
     reg.counter("serve.campaign.replayed").add(outcome.replayed);
     reg.counter("serve.campaign.quarantined").add(outcome.quarantined.size());
   }
@@ -119,7 +118,7 @@ std::string run_campaign(const Request& req, const ServerConfig& cfg,
   }
 
   // The aggregate is a pure function of the spec (docs/RUNTIME.md); the
-  // volatile counts (computed/cached/replayed, wall time) stay out of the
+  // volatile counts (computed/replayed, wall time) stay out of the
   // response so cold and warm answers are byte-identical.
   json::Object result;
   result.emplace("aggregate", json::parse(outcome.json));

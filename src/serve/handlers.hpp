@@ -27,10 +27,10 @@ struct ServerConfig {
   /// Unix-domain socket: a filesystem path, or `@name` for the Linux
   /// abstract namespace (no file on disk, vanishes with the process).
   std::string socket = "@wcmd";
-  /// Durable state directory: the WCMS response cache plus one WCMC cache
-  /// and WCMJ journal per distinct campaign request — what makes a killed
-  /// campaign resumable by resubmitting the identical request.  Empty =
-  /// fully in-memory (nothing survives the process).
+  /// Durable state directory: the WCMS response cache plus one WCMJ
+  /// journal per distinct campaign request — what makes a killed campaign
+  /// resumable by resubmitting the identical request.  Empty = fully
+  /// in-memory (nothing survives the process).
   std::string data_dir;
   u32 threads = 0;  ///< scheduler workers; 0 = WCM_THREADS, else 1
   std::size_t queue_max = 256;       ///< admission queue bound (then shed)

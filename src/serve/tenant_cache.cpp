@@ -1,47 +1,24 @@
 #include "serve/tenant_cache.hpp"
 
-#include <algorithm>
-#include <fstream>
+#include <string_view>
 #include <utility>
 
 #include "runtime/cache.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/span.hpp"
-#include "util/check.hpp"
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
+#include "util/framed.hpp"
 #include "util/hash.hpp"
 
 namespace wcm::serve {
 
 namespace {
 
-constexpr char kMagic[4] = {'W', 'C', 'M', 'S'};
+constexpr std::string_view kMagic = "WCMS";
 
-template <typename T>
-void write_pod(std::ostream& os, u64& h, const T& v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
-  h = fnv1a(h, &v, sizeof(v));
-}
-
-template <typename T>
-T read_pod(std::istream& is, u64& h, const char* what) {
-  T v{};
-  is.read(reinterpret_cast<char*>(&v), sizeof(v));
-  WCM_CHECK_IO(static_cast<bool>(is), std::string("truncated WCMS file (") +
-                                          what + ")");
-  h = fnv1a(h, &v, sizeof(v));
-  return v;
-}
-
-std::string read_bytes(std::istream& is, u64& h, u64 len, const char* what) {
-  std::string s(static_cast<std::size_t>(len), '\0');
-  is.read(s.data(), static_cast<std::streamsize>(len));
-  WCM_CHECK_IO(static_cast<bool>(is), std::string("truncated WCMS file (") +
-                                          what + ")");
-  h = fnv1a(h, s.data(), s.size());
-  return s;
-}
+/// Tenant names are 1..64 bytes (the protocol's rule, serve/protocol.cpp).
+constexpr u64 kMaxTenantBytes = 64;
 
 void count(const char* name, const std::string& tenant) {
   if (telemetry::enabled()) {
@@ -124,54 +101,22 @@ TenantCache TenantCache::load(const std::filesystem::path& path, u64 salt) {
   if (!std::filesystem::exists(path, ec) || ec) {
     return cache;  // cold start
   }
-  std::ifstream is(path, std::ios::binary);
   WCM_FAILPOINT("runtime.cache.load", io_error,
                 "injected cache read failure");
-  WCM_CHECK_IO(is.is_open(), "cannot open cache file: " + path.string());
-
-  u64 h = fnv_offset_basis;
-  char magic[4] = {};
-  is.read(magic, sizeof(magic));
-  WCM_CHECK_IO(static_cast<bool>(is) && std::equal(magic, magic + 4, kMagic),
-               "not a WCMS file: " + path.string());
-  h = fnv1a(h, magic, sizeof(magic));
-
-  const auto version = read_pod<std::uint32_t>(is, h, "version");
-  WCM_CHECK_IO(version == wcms_version,
-               "unsupported WCMS version " + std::to_string(version) + ": " +
-                   path.string());
-  const u64 file_salt = read_pod<u64>(is, h, "salt");
-  const u64 record_count = read_pod<u64>(is, h, "count");
-  WCM_CHECK_IO(record_count <= max_wcms_records,
-               "WCMS record count " + std::to_string(record_count) +
-                   " exceeds the format cap (corrupt header?): " +
-                   path.string());
-
+  framed::Reader in(kMagic, path);
+  in.magic();
+  in.version({wcms_version});
+  const u64 file_salt = in.get<u64>("salt");
+  const u64 record_count = in.count("record count", max_wcms_records);
   std::map<std::string, Shard> shards;
   for (u64 i = 0; i < record_count; ++i) {
-    const u64 tenant_len = read_pod<u64>(is, h, "tenant length");
-    WCM_CHECK_IO(tenant_len >= 1 && tenant_len <= 64,
-                 "WCMS tenant length out of range (corrupt record?): " +
-                     path.string());
-    const std::string tenant = read_bytes(is, h, tenant_len, "tenant name");
-    const u64 key = read_pod<u64>(is, h, "record key");
-    const u64 value_len = read_pod<u64>(is, h, "value length");
-    WCM_CHECK_IO(value_len <= max_wcms_value_bytes,
-                 "WCMS value length exceeds the format cap (corrupt "
-                 "record?): " +
-                     path.string());
-    shards[tenant].entries[key] = read_bytes(is, h, value_len, "value");
+    const std::string tenant(in.blob("tenant length", kMaxTenantBytes, 1));
+    const u64 key = in.get<u64>("record key");
+    shards[tenant].entries[key] =
+        std::string(in.blob("value length", max_wcms_value_bytes));
   }
-
-  const u64 expected = h;  // checksum covers everything before itself
-  u64 ignored = fnv_offset_basis;
-  const u64 stored = read_pod<u64>(is, ignored, "checksum");
-  WCM_CHECK_IO(stored == expected,
-               "WCMS checksum mismatch (corrupt file): " + path.string());
-  char extra = 0;
-  is.read(&extra, 1);
-  WCM_CHECK_IO(is.eof(), "trailing bytes after WCMS checksum: " +
-                             path.string());
+  in.seal();
+  in.end();
 
   if (file_salt != salt) {
     if (telemetry::enabled()) {
@@ -194,37 +139,24 @@ TenantCache TenantCache::load(const std::filesystem::path& path, u64 salt) {
 void TenantCache::store(const std::filesystem::path& path) const {
   WCM_SPAN("serve.cache.store");
   const std::lock_guard<std::mutex> lock(*mu_);
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  WCM_FAILPOINT("runtime.cache.store", io_error,
-                "injected cache write failure");
-  WCM_CHECK_IO(os.is_open(), "cannot open cache file for writing: " +
-                                 path.string());
-  u64 h = fnv_offset_basis;
-  os.write(kMagic, sizeof(kMagic));
-  h = fnv1a(h, kMagic, sizeof(kMagic));
-  write_pod(os, h, wcms_version);
-  write_pod(os, h, salt_);
+  framed::Writer out(kMagic, wcms_version);
+  out.put(salt_);
   u64 record_count = 0;
   for (const auto& [tenant, shard] : shards_) {
     record_count += shard.entries.size();
   }
-  write_pod(os, h, record_count);
+  out.put(record_count);
   for (const auto& [tenant, shard] : shards_) {
     for (const auto& [key, value] : shard.entries) {
-      const u64 tenant_len = tenant.size();
-      write_pod(os, h, tenant_len);
-      os.write(tenant.data(), static_cast<std::streamsize>(tenant.size()));
-      h = fnv1a(h, tenant.data(), tenant.size());
-      write_pod(os, h, key);
-      const u64 value_len = value.size();
-      write_pod(os, h, value_len);
-      os.write(value.data(), static_cast<std::streamsize>(value.size()));
-      h = fnv1a(h, value.data(), value.size());
+      out.blob(tenant);
+      out.put(key);
+      out.blob(value);
     }
   }
-  const u64 checksum = h;
-  os.write(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
-  WCM_CHECK_IO(static_cast<bool>(os), "cache write failed: " + path.string());
+  out.seal();
+  WCM_FAILPOINT("runtime.cache.store", io_error,
+                "injected cache write failure");
+  framed::replace_file(path, out.bytes(), kMagic);
 }
 
 }  // namespace wcm::serve

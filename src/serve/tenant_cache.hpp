@@ -8,18 +8,11 @@
 // one chatty tenant can evict only its own entries, never a neighbor's
 // (the multi-tenant quota the serve SLOs assume, docs/SERVE.md).
 //
-// On-disk WCMS format, version 1 (little-endian), mirroring WCMC:
-//   magic    "WCMS"          4 bytes
-//   version  u32             currently 1
-//   salt     u64             code-version salt the entries were computed at
-//   count    u64             number of records
-//   records  count x { tenant_len u64, tenant bytes,
-//                      key u64, value_len u64, value bytes }
-//   checksum u64             FNV-1a over every preceding byte
-//
-// Records are written in (tenant, key) order, so a given surviving entry
-// set stores byte-identically.  load() starts cold on a missing file or a
-// salt mismatch and throws wcm::io_error on corruption, exactly like WCMC.
+// On disk a WCMS file (docs/SERVE.md) is a util/framed.hpp file of the
+// salt, a record count and (tenant, key, value) records in (tenant, key)
+// order, so a given surviving entry set stores byte-identically.  load()
+// starts cold on a missing file or a salt mismatch and throws
+// wcm::io_error on corruption, exactly like WCMC.
 //
 // All public methods are thread-safe (one mutex): connection threads look
 // up concurrently with the dispatcher's inserts.
@@ -83,8 +76,9 @@ class TenantCache {
   [[nodiscard]] static TenantCache load(const std::filesystem::path& path,
                                         u64 salt);
 
-  /// Write every entry to `path` in (tenant, key) order.  Throws
-  /// wcm::io_error on failure.
+  /// Write every entry to `path` in (tenant, key) order, through a
+  /// sibling temporary renamed over it, so a failed store leaves the
+  /// previous file intact.  Throws wcm::io_error on failure.
   void store(const std::filesystem::path& path) const;
 
  private:

@@ -115,7 +115,7 @@ void span_end(ThreadBuf* buf, const char* name, u32 depth, u64 seq,
   buf->depth = depth;  // unwind even if inner spans leaked depth
   TraceContext& ctx = detail::mutable_trace_context();
   ctx.span_id = parent_span_id;
-  Event event{name, start_ns, end_ns - start_ns, depth, seq};
+  Event event{name, start_ns, end_ns - start_ns, depth, seq, 0, 0, 0, {}};
   if (ctx.active()) {
     event.trace_id = ctx.trace_id;
     event.span_id = span_id;

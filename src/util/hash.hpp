@@ -1,9 +1,10 @@
 #pragma once
 // FNV-1a, the one hash every on-disk format and cache key in the project
-// chains: WCMI workload checksums (workload/io.cpp), WCMC cache keys and
-// file checksums (runtime/cache.cpp), and the symbolic prover's report
-// digests (analyze/symbolic).  Keeping a single definition pins the digest
-// values — tests/test_util_hash.cpp asserts the reference vectors, so any
+// chains: the seals of the checksummed-file codec (util/framed.hpp, shared
+// by WCMI, WCMC, WCMS and WCMJ), WCMC and WCMS cache keys, campaign
+// fingerprints, and the symbolic prover's report digests
+// (analyze/symbolic).  Keeping a single definition pins the digest values
+// — tests/test_util_hash.cpp asserts the reference vectors, so any
 // accidental change to the constants breaks loudly instead of silently
 // invalidating caches and checksums.
 

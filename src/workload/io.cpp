@@ -1,39 +1,22 @@
 #include "workload/io.hpp"
 
-#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <limits>
 #include <new>
+#include <string_view>
 
 #include "telemetry/registry.hpp"
 #include "telemetry/span.hpp"
 #include "util/check.hpp"
 #include "util/failpoint.hpp"
-#include "util/hash.hpp"
+#include "util/framed.hpp"
 
 namespace wcm::workload {
 
 namespace {
-constexpr char kMagic[4] = {'W', 'C', 'M', 'I'};
+constexpr std::string_view kMagic = "WCMI";
 constexpr std::uint32_t kVersionV1 = 1;
-constexpr std::uint64_t kHeaderBytes = 16;  // magic + version + n
-// WCMI checksums chain wcm::fnv1a (util/hash.hpp); the digest-pinning test
-// in tests/test_util_hash.cpp guards the constants.
-constexpr std::uint64_t kFnvOffset = fnv_offset_basis;
-
-template <typename T>
-void write_pod(std::ostream& os, const T& v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-template <typename T>
-T read_pod(std::istream& is) {
-  T v{};
-  is.read(reinterpret_cast<char*>(&v), sizeof(v));
-  WCM_CHECK_IO(static_cast<bool>(is), "truncated WCMI file");
-  return v;
-}
 }  // namespace
 
 void write_binary(const std::filesystem::path& path,
@@ -44,119 +27,70 @@ void write_binary(const std::filesystem::path& path,
   WCM_CHECK_IO(os.is_open(),
                "cannot open output file: " + path.string());
 
-  std::vector<std::int32_t> buf;
-  buf.reserve(keys.size());
+  framed::Writer out(kMagic, wcmi_version);
+  out.put(static_cast<std::uint64_t>(keys.size()));
   for (const word k : keys) {
     WCM_EXPECTS(k >= std::numeric_limits<std::int32_t>::min() &&
                     k <= std::numeric_limits<std::int32_t>::max(),
                 "key does not fit in int32");
-    buf.push_back(static_cast<std::int32_t>(k));
+    out.put(static_cast<std::int32_t>(k));
   }
-
-  const auto n = static_cast<std::uint64_t>(keys.size());
-  std::uint64_t h = kFnvOffset;
-  os.write(kMagic, sizeof(kMagic));
-  h = fnv1a(h, kMagic, sizeof(kMagic));
-  write_pod(os, wcmi_version);
-  h = fnv1a(h, &wcmi_version, sizeof(wcmi_version));
-  write_pod(os, n);
-  h = fnv1a(h, &n, sizeof(n));
-  if (!buf.empty()) {
-    os.write(reinterpret_cast<const char*>(buf.data()),
-             static_cast<std::streamsize>(buf.size() * sizeof(std::int32_t)));
-    h = fnv1a(h, buf.data(), buf.size() * sizeof(std::int32_t));
-  }
-  write_pod(os, h);
+  out.seal();
+  os << out.bytes();
   WCM_CHECK_IO(static_cast<bool>(os), "write failed: " + path.string());
   if (telemetry::enabled()) {
     telemetry::registry()
         .counter("workload.io.write.bytes")
-        .add(kHeaderBytes + buf.size() * sizeof(std::int32_t) +
-             sizeof(std::uint64_t));
+        .add(out.bytes().size());
   }
 }
 
 std::vector<word> read_binary(const std::filesystem::path& path) {
   WCM_SPAN("io.read_binary");
-  std::error_code ec;
-  const std::uint64_t file_size = std::filesystem::file_size(path, ec);
-  std::ifstream is(path, std::ios::binary);
   WCM_FAILPOINT("io.read.open", io_error, "injected open failure");
-  WCM_CHECK_IO(!ec && is.is_open(),
-               "cannot open input file: " + path.string());
-  WCM_CHECK_IO(file_size >= kHeaderBytes,
-               "truncated WCMI header (" + std::to_string(file_size) +
-                   " bytes): " + path.string());
-
-  char magic[4];
-  is.read(magic, sizeof(magic));
-  WCM_CHECK_IO(static_cast<bool>(is) &&
-                   std::equal(magic, magic + 4, kMagic),
-               "not a WCMI file: " + path.string());
-  const auto version = read_pod<std::uint32_t>(is);
-  WCM_CHECK_IO(version == kVersionV1 || version == wcmi_version,
-               "unsupported WCMI version " + std::to_string(version) +
-                   ": " + path.string());
-  const auto n = read_pod<std::uint64_t>(is);
-
-  // Sanity-check the declared count against the cap and the actual file
-  // size *before* allocating, so a corrupt header cannot drive an OOM.
-  WCM_CHECK_IO(n <= max_wcmi_keys,
-               "WCMI element count " + std::to_string(n) +
-                   " exceeds the cap of " + std::to_string(max_wcmi_keys) +
-                   ": " + path.string());
+  framed::Reader in(kMagic, path);
+  in.magic();
+  const std::uint32_t version = in.version({kVersionV1, wcmi_version});
+  const std::uint64_t n = in.count("element count", max_wcmi_keys);
   const std::uint64_t payload_bytes = n * sizeof(std::int32_t);
-  const std::uint64_t expected =
-      kHeaderBytes + payload_bytes +
-      (version == wcmi_version ? sizeof(std::uint64_t) : 0);
+  // v2 is exact; v1 has no seal and tolerates trailing bytes.  Both are
+  // checked against the file before anything is allocated.
   if (version == wcmi_version) {
-    WCM_CHECK_IO(file_size == expected,
-                 "WCMI file size " + std::to_string(file_size) +
-                     " does not match header (expected " +
-                     std::to_string(expected) + "): " + path.string());
-  } else {
-    WCM_CHECK_IO(file_size >= expected,
-                 "truncated WCMI payload (" + std::to_string(file_size) +
-                     " of " + std::to_string(expected) +
-                     " bytes): " + path.string());
+    in.end(payload_bytes + sizeof(std::uint64_t));
   }
+  const std::string_view payload = in.bytes(payload_bytes, "keys");
 
   WCM_FAILPOINT("io.read.alloc", io_error, "injected allocation failure");
-  std::vector<std::int32_t> buf;
+  std::vector<word> keys;
   try {
-    buf.resize(n);
+    keys.reserve(n);
   } catch (const std::bad_alloc&) {
-    throw io_error("cannot allocate " + std::to_string(payload_bytes) +
-                       " bytes for WCMI payload",
+    throw io_error("cannot allocate " + std::to_string(n) +
+                       " keys for WCMI payload",
                    path.string());
   }
-  if (n > 0) {
-    is.read(reinterpret_cast<char*>(buf.data()),
-            static_cast<std::streamsize>(payload_bytes));
+  for (std::size_t off = 0; off < payload.size(); off += sizeof(std::int32_t)) {
+    keys.push_back(framed::load_le<std::int32_t>(payload.data() + off));
   }
   WCM_FAILPOINT("io.read.truncated", io_error, "injected short read");
-  WCM_CHECK_IO(static_cast<bool>(is),
-               "truncated WCMI payload: " + path.string());
 
   if (version == wcmi_version) {
-    const auto stored = read_pod<std::uint64_t>(is);
-    std::uint64_t h = kFnvOffset;
-    h = fnv1a(h, kMagic, sizeof(kMagic));
-    h = fnv1a(h, &version, sizeof(version));
-    h = fnv1a(h, &n, sizeof(n));
-    h = fnv1a(h, buf.data(), buf.size() * sizeof(std::int32_t));
     WCM_FAILPOINT("io.read.checksum", io_error,
                   "injected checksum mismatch");
-    if (h != stored && telemetry::enabled()) {
-      telemetry::registry().counter("workload.io.checksum.failures").add(1);
+    try {
+      in.seal();  // the exact-size check leaves a mismatch as its only fault
+    } catch (const io_error&) {
+      if (telemetry::enabled()) {
+        telemetry::registry().counter("workload.io.checksum.failures").add(1);
+      }
+      throw;
     }
-    WCM_CHECK_IO(h == stored, "WCMI checksum mismatch: " + path.string());
   }
 
   if (telemetry::enabled()) {
-    telemetry::registry().counter("workload.io.read.bytes").add(file_size);
+    telemetry::registry().counter("workload.io.read.bytes").add(in.size());
   }
-  return {buf.begin(), buf.end()};
+  return keys;
 }
 
 void write_csv(const std::filesystem::path& path,

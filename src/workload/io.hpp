@@ -3,19 +3,10 @@
 // adversarial inputs can be exported and fed to a real GPU harness) and a
 // CSV form for inspection.
 //
-// Binary layout, version 2 (little-endian):
-//   magic    "WCMI"            4 bytes
-//   version  u32               currently 2
-//   n        u64
-//   keys     n x i32           (inputs are permutations of 0..n-1, which the
-//                               paper's 4-byte-integer experiments match)
-//   checksum u64               FNV-1a over every preceding byte
-//
-// Version 1 files (identical, minus the trailing checksum) remain readable
-// forever; the writer always emits version 2.  The reader cross-checks the
-// declared element count against the actual file size *before* allocating
-// anything, and rejects counts above max_wcmi_keys, so a corrupt header can
-// never drive an out-of-memory allocation.
+// WCMI v2 (docs/API.md) is a util/framed.hpp file of a u64 count n and n
+// i32 keys (inputs are permutations of 0..n-1, which the paper's
+// 4-byte-integer experiments match).  Version 1 files, without the seal,
+// remain readable forever; the writer always emits version 2.
 
 #include <cstdint>
 #include <filesystem>

@@ -1,23 +1,30 @@
 // Table-driven corrupt-input corpus for the WCMI reader — every malformed
 // file must surface a typed wcm::io_error, never crash, hang, or drive a
 // pathological allocation, and v1 files must stay readable forever — plus
-// the matching corpus for the WCMT trace reader (wcm::parse_error).
+// the matching corpus for the WCMT trace reader (wcm::parse_error), the
+// WCMJ journal's torn-tail contract, and one shared corpus over committed
+// goldens of all four checksummed formats (WCMI, WCMC, WCMS, WCMJ).
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gpusim/trace.hpp"
 #include "runtime/journal.hpp"
+#include "serve/tenant_cache.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 #include "workload/inputs.hpp"
 #include "workload/io.hpp"
 
@@ -432,6 +439,308 @@ TEST(TraceCorrupt, ValidStreamsStillParse) {
   const auto t1 = gpusim::read_trace(v1);
   EXPECT_EQ(t1.steps.size(), 2u);
   EXPECT_EQ(t1.logical_words, 0u);  // v1 carries no word count
+}
+
+// ---- Goldens of every checksummed format, and one corpus over them -------
+//
+// tests/golden/formats holds one small file per format, written by the
+// hand-rolled writers that predate util/framed: WCMI v1 (hand-built),
+// WCMI v2, WCMC, WCMS with two tenants, and WCMJ with three records.  Each
+// loads to its pinned contents and re-writes byte for byte.  Then every
+// truncation, every single-byte flip and one appended byte of each golden
+// gets its format's decision: WCMI v2, WCMC and WCMS reject all of them;
+// WCMI v1 (no seal) rejects every damaged header and truncation; WCMJ
+// keeps the sealed prefix before the damage.
+
+constexpr u64 kGoldenSalt = 0x5eed;
+constexpr u64 kGoldenFingerprint = 0xf00d;
+constexpr u64 kGoldenChain = 0x29ed52b407d3f68cULL;  // WCMJ's last seal
+
+runtime::CellMetrics cell(u64 n, double seconds, double throughput,
+                          double conflicts, double beta1, double beta2) {
+  runtime::CellMetrics m;
+  m.n = n;
+  m.seconds = seconds;
+  m.throughput = throughput;
+  m.conflicts_per_element = conflicts;
+  m.beta1 = beta1;
+  m.beta2 = beta2;
+  return m;
+}
+
+const std::vector<word> kWcmiV1Keys{4, 2, 0, 3, 1};
+const std::vector<word> kWcmiV2Keys{3, 1, 2, 0, -5, 2147483647, -2147483648LL};
+const std::vector<std::pair<u64, runtime::CellMetrics>> kWcmcEntries{
+    {0x0123456789abcdefULL, cell(64, 0.25, 256.0, 1.5, 2.0, 3.5)},
+    {42, cell(4096, 1e-3, 4.096e6, 0.0, 1.0, 1.0)},
+    {7, cell(128, 0.5, 256.0, 31.0 / 32.0, 16.0, 17.25)}};
+struct WcmsEntry {
+  const char* tenant;
+  u64 key;
+  const char* value;
+};
+const std::vector<WcmsEntry> kWcmsEntries{
+    {"alpha", 11, R"({"a":1})"}, {"alpha", 3, "x"}, {"beta", 5, R"({"b":[1,2]})"}};
+const std::vector<std::pair<u64, runtime::CellMetrics>> kWcmjRecords{
+    {100, cell(64, 0.25, 256.0, 1.5, 2.0, 3.5)},
+    {101, cell(65, 0.5, 130.0, 0.0, 1.0, 1.0)},
+    {102, cell(66, 0.75, 88.0, 2.25, 4.0, 8.5)}};
+
+std::vector<char> slurp(const std::filesystem::path& p) {
+  std::ifstream is(p, std::ios::binary);
+  return {std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
+}
+
+std::vector<char> golden(const char* name) {
+  const auto bytes =
+      slurp(std::filesystem::path(WCM_GOLDEN_DIR) / "formats" / name);
+  EXPECT_FALSE(bytes.empty()) << name;
+  return bytes;
+}
+
+/// One damaged copy of a golden.
+struct Variant {
+  enum Kind { truncated, flipped, trailing } kind;
+  std::size_t at;  ///< truncation length, or flipped byte offset
+  std::vector<char> bytes;
+};
+
+std::vector<Variant> damaged(const std::vector<char>& bytes) {
+  std::vector<Variant> out;
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    out.push_back({Variant::truncated, len,
+                   {bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(len)}});
+  }
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    out.push_back({Variant::flipped, i, bytes});
+    out.back().bytes[i] = static_cast<char>(out.back().bytes[i] ^ 0xff);
+  }
+  out.push_back({Variant::trailing, bytes.size(), bytes});
+  out.back().bytes.push_back('\x01');
+  return out;
+}
+
+std::string describe(const Variant& v) {
+  static const char* const kNames[] = {"truncated at ", "flipped byte ",
+                                       "trailing byte at "};
+  return kNames[v.kind] + std::to_string(v.at);
+}
+
+class FormatGolden : public ::testing::Test {
+ protected:
+  std::filesystem::path path_ =
+      std::filesystem::temp_directory_path() /
+      ("wcm_format_golden_" + std::to_string(::getpid()) + "_" +
+       ::testing::UnitTest::GetInstance()->current_test_info()->name());
+  void TearDown() override { std::filesystem::remove(path_); }
+
+  void write_file(const std::vector<char>& bytes) {
+    std::ofstream os(path_, std::ios::binary | std::ios::trunc);
+    ASSERT_TRUE(os.is_open());
+    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+};
+
+TEST_F(FormatGolden, WcmiV1LoadsToItsPinnedKeys) {
+  const auto bytes = golden("wcmi_v1.bin");
+  std::vector<std::int32_t> keys(kWcmiV1Keys.begin(), kWcmiV1Keys.end());
+  EXPECT_EQ(bytes, FileBuilder{}.magic().u32(1).u64(keys.size()).keys(keys).bytes);
+  write_file(bytes);
+  EXPECT_EQ(read_binary(path_), kWcmiV1Keys);
+}
+
+TEST_F(FormatGolden, WcmiV2RoundTripsByteForByte) {
+  const auto bytes = golden("wcmi_v2.bin");
+  write_file(bytes);
+  EXPECT_EQ(read_binary(path_), kWcmiV2Keys);
+  write_binary(path_, kWcmiV2Keys);
+  EXPECT_EQ(slurp(path_), bytes);
+}
+
+TEST_F(FormatGolden, WcmcRoundTripsByteForByte) {
+  const auto bytes = golden("wcmc_v1.bin");
+  write_file(bytes);
+  const auto cache = runtime::ResultCache::load(path_, kGoldenSalt);
+  EXPECT_EQ(cache.size(), kWcmcEntries.size());
+  for (const auto& [key, metrics] : kWcmcEntries) {
+    EXPECT_EQ(cache.lookup(key), metrics) << key;
+  }
+  std::filesystem::remove(path_);
+  runtime::ResultCache fresh(kGoldenSalt, 0);
+  for (const auto& [key, metrics] : kWcmcEntries) {
+    fresh.insert(key, metrics);
+  }
+  fresh.store(path_);
+  EXPECT_EQ(slurp(path_), bytes);
+}
+
+TEST_F(FormatGolden, WcmsRoundTripsByteForByte) {
+  const auto bytes = golden("wcms_v1.bin");
+  write_file(bytes);
+  auto cache = serve::TenantCache::load(path_, kGoldenSalt);
+  EXPECT_EQ(cache.total_size(), kWcmsEntries.size());
+  EXPECT_EQ(cache.size("alpha"), 2u);
+  EXPECT_EQ(cache.size("beta"), 1u);
+  for (const auto& e : kWcmsEntries) {
+    EXPECT_EQ(cache.lookup(e.tenant, e.key), std::string(e.value)) << e.key;
+  }
+  std::filesystem::remove(path_);
+  serve::TenantCache fresh(kGoldenSalt, 0);
+  for (const auto& e : kWcmsEntries) {
+    fresh.insert(e.tenant, e.key, e.value);
+  }
+  fresh.store(path_);
+  EXPECT_EQ(slurp(path_), bytes);
+}
+
+TEST_F(FormatGolden, WcmjRoundTripsByteForByte) {
+  const auto bytes = golden("wcmj_v1.bin");
+  write_file(bytes);
+  const auto r =
+      runtime::replay_journal(path_, kGoldenSalt, kGoldenFingerprint);
+  EXPECT_TRUE(r.compatible);
+  EXPECT_FALSE(r.truncated);
+  EXPECT_EQ(r.valid_bytes, bytes.size());
+  EXPECT_EQ(r.chain, kGoldenChain);
+  ASSERT_EQ(r.records.size(), kWcmjRecords.size());
+  for (std::size_t i = 0; i < r.records.size(); ++i) {
+    EXPECT_EQ(r.records[i].key, kWcmjRecords[i].first);
+    EXPECT_EQ(r.records[i].metrics, kWcmjRecords[i].second);
+  }
+  std::filesystem::remove(path_);
+  {
+    runtime::JournalWriter writer(path_, kGoldenSalt, kGoldenFingerprint,
+                                  runtime::JournalReplay{});
+    for (const auto& [key, metrics] : kWcmjRecords) {
+      writer.append(key, metrics);
+    }
+  }
+  EXPECT_EQ(slurp(path_), bytes);
+}
+
+TEST_F(FormatGolden, WcmiV2CorpusIsAlwaysIoError) {
+  for (const auto& v : damaged(golden("wcmi_v2.bin"))) {
+    SCOPED_TRACE(describe(v));
+    write_file(v.bytes);
+    EXPECT_THROW((void)read_binary(path_), io_error);
+  }
+}
+
+TEST_F(FormatGolden, WcmiV1CorpusRejectsDamagedHeadersAndPayloads) {
+  // No seal: a flipped key byte reads back as a different key, and bytes
+  // after the payload are tolerated; everything else is an io_error.
+  constexpr std::size_t kHeader = 16;
+  for (const auto& v : damaged(golden("wcmi_v1.bin"))) {
+    SCOPED_TRACE(describe(v));
+    write_file(v.bytes);
+    if (v.kind == Variant::trailing) {
+      EXPECT_EQ(read_binary(path_), kWcmiV1Keys);
+    } else if (v.kind == Variant::flipped && v.at >= kHeader) {
+      const auto keys = read_binary(path_);
+      ASSERT_EQ(keys.size(), kWcmiV1Keys.size());
+      for (std::size_t k = 0; k < keys.size(); ++k) {
+        EXPECT_EQ(keys[k] != kWcmiV1Keys[k], k == (v.at - kHeader) / 4) << k;
+      }
+    } else {
+      EXPECT_THROW((void)read_binary(path_), io_error);
+    }
+  }
+}
+
+TEST_F(FormatGolden, WcmcCorpusIsAlwaysIoError) {
+  for (const auto& v : damaged(golden("wcmc_v1.bin"))) {
+    SCOPED_TRACE(describe(v));
+    write_file(v.bytes);
+    EXPECT_THROW((void)runtime::ResultCache::load(path_, kGoldenSalt),
+                 io_error);
+  }
+}
+
+TEST_F(FormatGolden, WcmsCorpusIsAlwaysIoError) {
+  for (const auto& v : damaged(golden("wcms_v1.bin"))) {
+    SCOPED_TRACE(describe(v));
+    write_file(v.bytes);
+    EXPECT_THROW((void)serve::TenantCache::load(path_, kGoldenSalt),
+                 io_error);
+  }
+}
+
+TEST_F(FormatGolden, WcmjCorpusKeepsTheSealedPrefix) {
+  constexpr std::size_t kHeader = 32;
+  constexpr std::size_t kRecord = 64;
+  const auto bytes = golden("wcmj_v1.bin");
+  // The chain after `records` sealed records: the header's running hash,
+  // then each record's stored seal.
+  const auto chain_after = [&bytes](std::size_t records) {
+    if (records == 0) {
+      return fnv1a(fnv_offset_basis, bytes.data(), kHeader);
+    }
+    u64 seal = 0;
+    std::memcpy(&seal, bytes.data() + kHeader + records * kRecord - 8, 8);
+    return seal;
+  };
+  for (const auto& v : damaged(bytes)) {
+    SCOPED_TRACE(describe(v));
+    write_file(v.bytes);
+    if (v.kind == Variant::flipped && v.at < 8) {
+      EXPECT_THROW((void)runtime::replay_journal(path_, kGoldenSalt,
+                                                 kGoldenFingerprint),
+                   io_error);  // magic or version
+      continue;
+    }
+    // The first damaged byte (a cut, a flip past the version, or the
+    // appended byte) decides what survives: a damaged header is torn,
+    // and only records sealed wholly before the damage replay.
+    const std::size_t damage = v.at;
+    const bool header_ok = damage >= kHeader;
+    const std::size_t records =
+        header_ok ? std::min((damage - kHeader) / kRecord, kWcmjRecords.size())
+                  : 0;
+    const bool clean_cut =
+        v.kind == Variant::truncated &&
+        (damage == 0 || (header_ok && (damage - kHeader) % kRecord == 0));
+    const auto r =
+        runtime::replay_journal(path_, kGoldenSalt, kGoldenFingerprint);
+    EXPECT_TRUE(r.compatible);
+    ASSERT_EQ(r.records.size(), records);
+    for (std::size_t i = 0; i < records; ++i) {
+      EXPECT_EQ(r.records[i].key, kWcmjRecords[i].first);
+      EXPECT_EQ(r.records[i].metrics, kWcmjRecords[i].second);
+    }
+    EXPECT_EQ(r.truncated, !clean_cut);
+    EXPECT_EQ(r.valid_bytes, header_ok ? kHeader + records * kRecord : 0u);
+    EXPECT_EQ(r.chain, header_ok ? chain_after(records) : 0u);
+  }
+}
+
+TEST(WcmsBound, HugeValueLengthFailsWithoutAllocatingIt) {
+  // 51 bytes: a WCMS header and one record whose value length reads 2^30
+  // (the format's cap) but whose file holds only two value bytes.
+  const auto path = std::filesystem::temp_directory_path() /
+                    ("wcm_wcms_bound_" + std::to_string(::getpid()));
+  const auto bytes = FileBuilder{}
+                         .magic("WCMS")
+                         .u32(serve::wcms_version)
+                         .u64(kGoldenSalt)
+                         .u64(1)
+                         .u64(1)
+                         .raw("t", 1)
+                         .u64(9)
+                         .u64(serve::max_wcms_value_bytes)
+                         .raw("{}", 2)
+                         .bytes;
+  ASSERT_EQ(bytes.size(), 51u);
+  {
+    std::ofstream os(path, std::ios::binary);
+    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  rusage before{};
+  ASSERT_EQ(::getrusage(RUSAGE_SELF, &before), 0);
+  EXPECT_THROW((void)serve::TenantCache::load(path, kGoldenSalt), io_error);
+  rusage after{};
+  ASSERT_EQ(::getrusage(RUSAGE_SELF, &after), 0);
+  EXPECT_LT(after.ru_maxrss - before.ru_maxrss, 64 * 1024);  // KiB
+  std::filesystem::remove(path);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // WCMC result-cache tests: key addressing, disk round trip, salt-based
 // invalidation, corruption detection (checksum, truncation, trailing
-// bytes, bad magic), and the load/store failpoints.
+// bytes, bad magic), the load/store failpoints, and stores that fail
+// without touching the previous file.
 
 #include <gtest/gtest.h>
 
@@ -271,6 +272,52 @@ TEST_F(CacheFile, StoreFailpointFires) {
   const ResultCache cache(1);
   failpoint::scoped_arm fp("runtime.cache.store");
   EXPECT_THROW(cache.store(path_), io_error);
+}
+
+std::string bytes_of(const std::filesystem::path& p) {
+  std::ifstream is(p, std::ios::binary);
+  return {std::istreambuf_iterator<char>(is), {}};
+}
+
+/// Whether a store left a sibling temporary of `target` behind.
+bool temporary_left(const std::filesystem::path& target) {
+  const std::string prefix = target.filename().string() + ".tmp";
+  for (const auto& entry :
+       std::filesystem::directory_iterator(target.parent_path())) {
+    if (entry.path().filename().string().rfind(prefix, 0) == 0) {
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST_F(CacheFile, FailedStoreKeepsThePreviousFile) {
+  ResultCache cache(1);
+  cache.insert(cache.key_of("old"), metrics(5, 0.5));
+  cache.store(path_);
+  const std::string before = bytes_of(path_);
+  cache.insert(cache.key_of("new"), metrics(6, 0.6));
+  {
+    failpoint::scoped_arm fp("runtime.cache.store");
+    EXPECT_THROW(cache.store(path_), io_error);
+  }
+  EXPECT_EQ(bytes_of(path_), before);
+  EXPECT_FALSE(temporary_left(path_));
+  const auto loaded = ResultCache::load(path_, 1);
+  EXPECT_EQ(loaded.size(), 1u);
+  EXPECT_EQ(loaded.lookup(cache.key_of("old")), metrics(5, 0.5));
+}
+
+TEST_F(CacheFile, StoreThatCannotReplaceTheTargetLeavesNoTemporary) {
+  // A non-empty directory at the target: the temporary is written whole,
+  // then the rename over the target fails.
+  std::filesystem::create_directories(path_ / "occupied");
+  ResultCache cache(1);
+  cache.insert(cache.key_of("cell"), metrics(5, 0.5));
+  EXPECT_THROW(cache.store(path_), io_error);
+  EXPECT_TRUE(std::filesystem::is_directory(path_ / "occupied"));
+  EXPECT_FALSE(temporary_left(path_));
+  std::filesystem::remove_all(path_);
 }
 
 }  // namespace

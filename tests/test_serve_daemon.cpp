@@ -4,7 +4,8 @@
 // serving), the in-flight dedup invariant (N concurrent identical
 // requests -> exactly one scheduler job and one cache store), connection
 // shedding, dispatch-fault recovery (errors are never cached), WCMS
-// persistence across a restart, and the drain zero-drop invariant.
+// persistence across a restart, campaigns that keep only a journal, and
+// the drain zero-drop invariant.
 //
 // Every test runs its server on a process-unique abstract-namespace
 // socket, so parallel ctest invocations never collide and nothing
@@ -299,6 +300,50 @@ TEST(ServeDaemon, WcmsCacheSurvivesARestart) {
   }
   EXPECT_GE(counter("serve.cache.hit"), 1u);
   EXPECT_EQ(counter("serve.jobs"), 0u);  // nothing was recomputed
+  telemetry::set_enabled(false);
+  telemetry::registry().reset();
+  std::filesystem::remove_all(data_dir);
+}
+
+TEST(ServeDaemon, CampaignsJournalOnlyAndReplayAfterTheResponseCacheIsLost) {
+  const std::filesystem::path data_dir =
+      std::filesystem::temp_directory_path() /
+      ("wcmd_test_journal_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(data_dir);
+  ServerConfig cfg;
+  cfg.socket = test_socket("journal");
+  cfg.data_dir = data_dir.string();
+  const char* campaign =
+      R"({"op":"campaign","id":"c","params":{"spec":{"name":"j","seed":5,)"
+      R"("grid":[{"engine":"pairwise","E":5,"b":64,)"
+      R"("input":["random","worst-case"],"k":[1,2]}]}}})";
+  constexpr u64 kCells = 4;
+  std::string cold;
+  {
+    RunningServer rs(cfg);
+    Client client = connect_with_retry(cfg.socket, kConnectTimeoutMs);
+    cold = client.roundtrip(campaign);
+    ASSERT_TRUE(ok_of(cold));
+  }
+  std::size_t journals = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(data_dir)) {
+    EXPECT_NE(entry.path().extension(), ".wcmc") << entry.path();
+    journals += entry.path().extension() == ".wcmj" ? 1u : 0u;
+  }
+  EXPECT_EQ(journals, 1u);
+
+  // Without responses.wcms the restarted daemon recomputes the request,
+  // and the journal alone supplies every cell.
+  ASSERT_TRUE(std::filesystem::remove(data_dir / "responses.wcms"));
+  telemetry::registry().reset();
+  telemetry::set_enabled(true);
+  {
+    RunningServer rs(cfg);
+    Client client = connect_with_retry(cfg.socket, kConnectTimeoutMs);
+    EXPECT_EQ(client.roundtrip(campaign), cold);
+  }
+  EXPECT_EQ(counter("serve.campaign.replayed"), kCells);
+  EXPECT_EQ(counter("serve.campaign.computed"), 0u);
   telemetry::set_enabled(false);
   telemetry::registry().reset();
   std::filesystem::remove_all(data_dir);

@@ -18,6 +18,7 @@
 #include "serve/tenant_cache.hpp"
 #include "telemetry/registry.hpp"
 #include "util/error.hpp"
+#include "util/failpoint.hpp"
 #include "util/json.hpp"
 
 namespace wcm::serve {
@@ -365,6 +366,32 @@ TEST_F(WcmsFile, SaltMismatchStartsCold) {
 
 TEST_F(WcmsFile, MissingFileStartsCold) {
   EXPECT_EQ(TenantCache::load(path, 7).total_size(), 0u);
+}
+
+TEST_F(WcmsFile, FailedStoreKeepsThePreviousFile) {
+  const auto bytes_of = [this] {
+    std::ifstream is(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(is), {});
+  };
+  TenantCache cache(7, 0);
+  cache.insert("a", 1, "one");
+  cache.store(path);
+  const std::string before = bytes_of();
+  cache.insert("b", 2, "two");
+  {
+    failpoint::scoped_arm fp("runtime.cache.store");
+    EXPECT_THROW(cache.store(path), io_error);
+  }
+  EXPECT_EQ(bytes_of(), before);
+  const std::string prefix = path.filename().string() + ".tmp";
+  for (const auto& entry :
+       std::filesystem::directory_iterator(path.parent_path())) {
+    EXPECT_NE(entry.path().filename().string().rfind(prefix, 0), 0u)
+        << entry.path();
+  }
+  TenantCache warmed = TenantCache::load(path, 7);
+  EXPECT_EQ(warmed.total_size(), 1u);
+  EXPECT_EQ(warmed.lookup("a", 1).value_or(""), "one");
 }
 
 TEST_F(WcmsFile, CorruptFileThrows) {
