@@ -17,6 +17,7 @@
 // 3 unreadable/unparseable report.  --report-only prints the comparison
 // but always exits 0 (for seeding a baseline from a live run in CI).
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <iostream>
@@ -24,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "util/cli.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
 
@@ -131,57 +133,51 @@ double parse_double_flag(const std::string& flag, const std::string& text) {
   }
 }
 
-int run(int argc, char** argv) {
-  std::vector<std::string> positional;
-  std::vector<KeySpec> keys = default_keys();
-  double threshold_pct = 25.0;
-  double min_abs_ms = 0.05;
-  bool report_only = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      std::cout << kUsage;
-      return 0;
+/// Comma-separated dotted key names, none empty.
+std::vector<KeySpec> parse_keys(const std::string& value) {
+  std::vector<KeySpec> keys;
+  std::size_t start = 0;
+  while (true) {
+    const std::size_t comma = value.find(',', start);
+    const std::string key = value.substr(start, comma - start);
+    if (key.empty()) {
+      throw parse_error("--keys must be a comma-separated list of "
+                        "non-empty dotted key names");
     }
-    if (arg == "--report-only") {
-      report_only = true;
-      continue;
+    keys.push_back(classify(key));
+    if (comma == std::string::npos) {
+      return keys;
     }
-    if (arg == "--threshold-pct" || arg == "--min-abs-ms" ||
-        arg == "--keys") {
-      if (i + 1 >= argc) {
-        throw parse_error("flag " + arg + " requires a value");
-      }
-      const std::string value = argv[++i];
-      if (arg == "--threshold-pct") {
-        threshold_pct = parse_double_flag(arg, value);
-      } else if (arg == "--min-abs-ms") {
-        min_abs_ms = parse_double_flag(arg, value);
-      } else {
-        keys.clear();
-        std::size_t start = 0;
-        while (start <= value.size()) {
-          const std::size_t comma = value.find(',', start);
-          const std::string key = value.substr(start, comma - start);
-          if (key.empty()) {
-            throw parse_error("--keys must be a comma-separated list of "
-                              "non-empty dotted key names");
-          }
-          keys.push_back(classify(key));
-          if (comma == std::string::npos) {
-            break;
-          }
-          start = comma + 1;
-        }
-      }
-      continue;
-    }
-    if (arg.rfind("--", 0) == 0) {
-      throw parse_error("unknown flag '" + arg +
-                        "' (run 'wcm-benchdiff --help' for the synopsis)");
-    }
-    positional.push_back(arg);
+    start = comma + 1;
   }
+}
+
+int run(int argc, char** argv) {
+  const std::vector<std::string> tokens = cli::tokens(argc, argv, 1);
+  const cli::Args args(tokens,
+                       {{"threshold-pct"},
+                        {"min-abs-ms"},
+                        {"keys"},
+                        {"report-only", false}},
+                       "wcm-benchdiff", /*allow_operands=*/true);
+  const std::vector<std::string>& positional = args.operands();
+  if (args.has("help") ||
+      std::find(positional.begin(), positional.end(), "-h") !=
+          positional.end()) {
+    std::cout << kUsage;
+    return 0;
+  }
+  const double threshold_pct =
+      args.has("threshold-pct")
+          ? parse_double_flag("--threshold-pct", args.get("threshold-pct", ""))
+          : 25.0;
+  const double min_abs_ms =
+      args.has("min-abs-ms")
+          ? parse_double_flag("--min-abs-ms", args.get("min-abs-ms", ""))
+          : 0.05;
+  const std::vector<KeySpec> keys =
+      args.has("keys") ? parse_keys(args.get("keys", "")) : default_keys();
+  const bool report_only = args.has("report-only");
   if (positional.size() != 2) {
     throw parse_error(
         "expected exactly two positional operands: baseline.json "

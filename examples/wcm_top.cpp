@@ -15,6 +15,7 @@
 //
 // Exit codes: 0 ok, 2 usage error, 3 cannot connect / protocol error.
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <iostream>
@@ -24,6 +25,7 @@
 #include <vector>
 
 #include "serve/client.hpp"
+#include "util/cli.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
 #include "util/math.hpp"
@@ -43,20 +45,6 @@ usage: wcm-top [--socket path|@name]  daemon socket (default @wcmd)
 
 exit codes: 0 ok, 2 usage, 3 cannot connect / protocol error
 )";
-
-u64 parse_u64_flag(const std::string& flag, const std::string& text) {
-  try {
-    std::size_t used = 0;
-    const unsigned long long v = std::stoull(text, &used);
-    if (used != text.size()) {
-      throw std::invalid_argument("trailing");
-    }
-    return v;
-  } catch (const std::exception&) {
-    throw parse_error("invalid value '" + text + "' for " + flag +
-                      " (expected an unsigned integer)");
-  }
-}
 
 /// Result-side JSON of one successful admin roundtrip; throws io_error on
 /// a protocol or daemon-side error.
@@ -199,43 +187,30 @@ void render(std::ostream& os, const std::string& socket, const Frame& now,
 }
 
 int run(int argc, char** argv) {
-  std::string socket = "@wcmd";
-  u64 interval_ms = 1000;
-  u64 timeout_ms = 2000;
-  bool once = false;
-  bool no_clear = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      std::cout << kUsage;
-      return 0;
-    }
-    if (arg == "--once") {
-      once = true;
-      continue;
-    }
-    if (arg == "--no-clear") {
-      no_clear = true;
-      continue;
-    }
-    if (i + 1 >= argc) {
-      throw parse_error("flag " + arg + " requires a value");
-    }
-    const std::string value = argv[++i];
-    if (arg == "--socket") {
-      socket = value;
-    } else if (arg == "--interval-ms") {
-      interval_ms = parse_u64_flag(arg, value);
-      if (interval_ms == 0) {
-        throw parse_error("--interval-ms must be >= 1");
-      }
-    } else if (arg == "--timeout-ms") {
-      timeout_ms = parse_u64_flag(arg, value);
-    } else {
-      throw parse_error("unknown flag '" + arg +
-                        "' (run 'wcm-top --help' for the synopsis)");
-    }
+  const std::vector<std::string> tokens = cli::tokens(argc, argv, 1);
+  if (std::find(tokens.begin(), tokens.end(), "-h") != tokens.end()) {
+    std::cout << kUsage;
+    return 0;
   }
+  const cli::Args args(tokens,
+                       {{"socket"},
+                        {"interval-ms"},
+                        {"timeout-ms"},
+                        {"once", false},
+                        {"no-clear", false}},
+                       "wcm-top");
+  if (args.has("help")) {
+    std::cout << kUsage;
+    return 0;
+  }
+  const std::string socket = args.get("socket", "@wcmd");
+  const u64 interval_ms = args.get_u64("interval-ms", 1000);
+  if (interval_ms == 0) {
+    throw parse_error("--interval-ms must be >= 1");
+  }
+  const u64 timeout_ms = args.get_u64("timeout-ms", 2000);
+  const bool once = args.has("once");
+  const bool no_clear = args.has("no-clear");
 
   serve::Client client = serve::connect_with_retry(socket, timeout_ms);
   Frame prev;

@@ -26,6 +26,17 @@ MachineStats& MachineStats::operator+=(const MachineStats& o) noexcept {
   return *this;
 }
 
+MachineStats MachineStats::operator-(
+    const MachineStats& before) const noexcept {
+  MachineStats d = *this;
+  d.steps -= before.steps;
+  d.requests -= before.requests;
+  d.serialization_cycles -= before.serialization_cycles;
+  d.replays -= before.replays;
+  d.conflicting_accesses -= before.conflicting_accesses;
+  return d;
+}
+
 Machine::Machine(std::size_t num_modules, std::size_t memory_words)
     : w_(num_modules), mem_(memory_words, word{0}) {
   WCM_EXPECTS(num_modules > 0, "need at least one memory module");

@@ -29,6 +29,10 @@ struct MachineStats {
 
   MachineStats& operator+=(const StepCost& c) noexcept;
   MachineStats& operator+=(const MachineStats& o) noexcept;
+  /// What accumulated since `before` was read off the same running totals:
+  /// the counts subtract, max_bank_degree stays this side's running maximum.
+  [[nodiscard]] MachineStats operator-(
+      const MachineStats& before) const noexcept;
 };
 
 class Machine {

@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cstdlib>
 #include <cstring>
+#include <iostream>
 #include <string_view>
 
 #include "telemetry/registry.hpp"
@@ -173,6 +174,14 @@ ResultCache ResultCache::load(const std::filesystem::path& path, u64 salt) {
         .set(static_cast<double>(cache.entries_.size()));
   }
   return cache;
+}
+
+void warn_store_failed(const std::filesystem::path& path, const io_error& e) {
+  std::cerr << "warning: cache store failed, keeping the previous "
+            << path.string() << ": " << e.what() << " (run continues)\n";
+  if (telemetry::enabled()) {
+    telemetry::registry().counter("runtime.cache.store_failed").add(1);
+  }
 }
 
 void ResultCache::store(const std::filesystem::path& path) const {

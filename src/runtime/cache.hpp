@@ -23,6 +23,7 @@
 #include <string>
 
 #include "runtime/lru.hpp"
+#include "util/error.hpp"
 #include "util/framed.hpp"
 #include "util/hash.hpp"
 #include "util/math.hpp"
@@ -47,6 +48,13 @@ namespace wcm::runtime {
 [[nodiscard]] inline u64 cache_max_from_env() {
   return unsigned_env("WCM_CACHE_MAX");
 }
+
+/// A cache (WCMC here, WCMS in the daemon) only accelerates the run that
+/// fills it, and a failed store keeps the previous file.  So a run whose
+/// results are all computed catches its store's wcm::io_error, reports it
+/// here — one warning line on stderr, one tick of the
+/// `runtime.cache.store_failed` counter — and carries on.
+void warn_store_failed(const std::filesystem::path& path, const io_error& e);
 
 /// Flat metrics of one computed campaign cell.
 struct CellMetrics {

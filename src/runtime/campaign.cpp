@@ -616,9 +616,13 @@ CampaignOutcome run_campaign(const CampaignSpec& spec,
   const RunReport report = run(graph, run_opts);
 
   // Persist whatever was computed before surfacing any failure: a partial
-  // cache makes the retry cheaper.
+  // cache makes the retry cheaper.  A failed store costs only the speedup.
   if (caching && !misses.empty()) {
-    cache.store(cache_path);
+    try {
+      cache.store(cache_path);
+    } catch (const io_error& e) {
+      warn_store_failed(cache_path, e);
+    }
   }
   if (options.fail_fast) {
     report.rethrow_first_error();

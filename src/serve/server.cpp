@@ -749,7 +749,11 @@ struct Server::Impl {
     queue_cv_.notify_all();
     dispatcher_.join();
     if (!cfg_.data_dir.empty()) {
-      cache_.store(wcms_path());
+      try {
+        cache_.store(wcms_path());
+      } catch (const io_error& e) {
+        runtime::warn_store_failed(wcms_path(), e);
+      }
     }
     stats_.accepted = accepted_.load();
     stats_.requests = requests_.load();

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 
-#include "gpusim/shared_memory.hpp"
 #include "sort/describe.hpp"
-#include "sort/pairwise_sort.hpp"
+#include "sort/launch.hpp"
 #include "telemetry/span.hpp"
 #include "util/check.hpp"
 
@@ -48,14 +47,19 @@ void global_pass(std::vector<word>& data, std::size_t size,
   stats.warp_merge_steps += (n / 2) / w;
 }
 
+using Substages = std::vector<std::pair<std::size_t, std::size_t>>;
+
 /// Run every substage of `substages` (pairs of (size, stride), stride <
 /// tile) for one tile staged in shared memory, with full warp-synchronous
 /// accounting.
-void shared_tile_pass(
-    gpusim::SharedMemory& shm, std::span<word> tile_data,
-    std::size_t tile_base,
-    const std::vector<std::pair<std::size_t, std::size_t>>& substages,
-    u32 b, u32 w, gpusim::KernelStats& stats) {
+void shared_tile_pass(Launch& launch, std::span<word> tile_data,
+                      std::size_t tile_base, const Substages& substages,
+                      gpusim::KernelStats& stats) {
+  gpusim::SharedMemory& shm = launch.shm();
+  std::vector<gpusim::LaneRead>& reads = launch.reads();
+  std::vector<gpusim::LaneWrite>& writes = launch.writes();
+  const u32 b = launch.cfg().b;
+  const u32 w = launch.cfg().w;
   const std::size_t tile = tile_data.size();
 
   // Block boundary: one SharedMemory hosts many simulated tiles in
@@ -66,43 +70,31 @@ void shared_tile_pass(
   // elements t and t + b; conflict-free).
   stats.global_transactions += tile / w;
   stats.global_requests += tile;
-  std::vector<gpusim::LaneWrite> writes;
-  std::vector<gpusim::LaneRead> reads;
-  for (u32 warp_start = 0; warp_start < b; warp_start += w) {
-    for (u32 s = 0; s < 2; ++s) {
-      writes.clear();
-      for (u32 lane = 0; lane < w && warp_start + lane < b; ++lane) {
-        const std::size_t idx =
-            static_cast<std::size_t>(warp_start + lane) +
-            static_cast<std::size_t>(s) * b;
-        writes.push_back({lane, idx, tile_data[idx]});
-      }
-      shm.warp_write(writes);
-    }
-  }
+  launch.stage_tile(tile_data);
   // __syncthreads: the comparators read other threads' staged elements.
   shm.barrier();
 
   for (const auto& [size, stride] : substages) {
     // Thread t owns comparator t of the tile (tile/2 == b comparators).
     for (u32 warp_start = 0; warp_start < b; warp_start += w) {
+      const u32 lanes = std::min(w, b - warp_start);
       // Warp-synchronous: read lows, read highs, write lows, write highs.
       reads.clear();
-      for (u32 lane = 0; lane < w && warp_start + lane < b; ++lane) {
+      for (u32 lane = 0; lane < lanes; ++lane) {
         reads.push_back(
             {lane, comparator_low(warp_start + lane, stride)});
       }
       shm.warp_read(reads);
       reads.clear();
-      for (u32 lane = 0; lane < w && warp_start + lane < b; ++lane) {
+      for (u32 lane = 0; lane < lanes; ++lane) {
         reads.push_back(
             {lane, comparator_low(warp_start + lane, stride) + stride});
       }
       shm.warp_read(reads);
 
-      writes.clear();
-      std::vector<gpusim::LaneWrite> writes_high;
-      for (u32 lane = 0; lane < w && warp_start + lane < b; ++lane) {
+      // One buffer: the lows' stores, then the highs'.
+      writes.resize(2 * lanes);
+      for (u32 lane = 0; lane < lanes; ++lane) {
         const std::size_t l = comparator_low(warp_start + lane, stride);
         const std::size_t h = l + stride;
         word lo = shm.peek(l);
@@ -110,11 +102,11 @@ void shared_tile_pass(
         if (ascending(tile_base + l, size) ? lo > hi : lo < hi) {
           std::swap(lo, hi);
         }
-        writes.push_back({lane, l, lo});
-        writes_high.push_back({lane, h, hi});
+        writes[lane] = {lane, l, lo};
+        writes[lanes + lane] = {lane, h, hi};
       }
-      shm.warp_write(writes);
-      shm.warp_write(writes_high);
+      shm.warp_write(std::span(writes).first(lanes));
+      shm.warp_write(std::span(writes).subspan(lanes));
     }
     stats.warp_merge_steps += b / w;
     // __syncthreads between substages: the comparator partition changes,
@@ -124,18 +116,7 @@ void shared_tile_pass(
   }
 
   // Warp-synchronous unstaging loads, then the coalesced store.
-  for (u32 warp_start = 0; warp_start < b; warp_start += w) {
-    for (u32 s = 0; s < 2; ++s) {
-      reads.clear();
-      for (u32 lane = 0; lane < w && warp_start + lane < b; ++lane) {
-        reads.push_back({lane, static_cast<std::size_t>(warp_start + lane) +
-                                   static_cast<std::size_t>(s) * b});
-      }
-      shm.warp_read(reads);
-    }
-  }
-  const auto result = shm.dump(0, tile);
-  std::copy(result.begin(), result.end(), tile_data.begin());
+  launch.unstage_tile(tile_data);
   stats.global_transactions += tile / w;
   stats.global_requests += tile;
 }
@@ -146,42 +127,22 @@ SortReport bitonic_sort(std::span<const word> input, const SortConfig& cfg,
                         const gpusim::Device& dev, std::vector<word>* output) {
   WCM_EXPECTS(is_pow2(cfg.b) && cfg.b >= cfg.w,
               "block size must be a power of two >= warp size");
-  WCM_EXPECTS(cfg.w == dev.warp_size, "config warp size must match device");
   const std::size_t tile = 2 * static_cast<std::size_t>(cfg.b);
   const std::size_t n = input.size();
   WCM_EXPECTS(n >= tile && is_pow2(n), "n must be a power of two >= 2b");
+  Launch launch({.engine = "bitonic", .tile = tile}, input, cfg, dev);
+  std::vector<word>& data = launch.keys();
 
-  const std::size_t pad_words = tile / cfg.w * cfg.padding;
-  const gpusim::LaunchConfig launch{n / tile, cfg.b, (tile + pad_words) * 4};
-  const gpusim::Calibration cal =
-      library_calibration(MergeSortLibrary::thrust);
-
-  SortReport report;
-  report.config = cfg;
-  report.device = dev;
-  report.n = n;
-
-  std::vector<word> data(input.begin(), input.end());
-  gpusim::SharedMemory shm(
-      gpusim::SharedLayout{cfg.w, cfg.padding, cfg.layout}, tile);
-  shm.attach_trace(cfg.trace_sink);
-
-  const auto run_shared_tail =
-      [&](std::size_t size, std::size_t first_stride,
-          gpusim::KernelStats& stats) {
-        std::vector<std::pair<std::size_t, std::size_t>> substages;
-        for (std::size_t stride = first_stride; stride > 0; stride >>= 1) {
-          substages.emplace_back(size, stride);
-        }
-        for (std::size_t base = 0; base < n; base += tile) {
-          shm.reset_stats();
-          shared_tile_pass(shm, std::span<word>(data).subspan(base, tile),
-                           base, substages, cfg.b, cfg.w, stats);
-          stats.shared += shm.stats();
-          stats.blocks_launched += 1;
-        }
-        stats.elements_processed += n;
-      };
+  // Every tile in shared memory, through the same substages.
+  const auto shared_pass = [&](const Substages& substages,
+                               gpusim::KernelStats& stats) {
+    for (std::size_t base = 0; base < n; base += tile) {
+      launch.block(stats, [&] {
+        shared_tile_pass(launch, std::span<word>(data).subspan(base, tile),
+                         base, substages, stats);
+      });
+    }
+  };
 
   WCM_SPAN("bitonic.sort");
 
@@ -189,22 +150,14 @@ SortReport bitonic_sort(std::span<const word> input, const SortConfig& cfg,
   {
     WCM_SPAN("bitonic.opening_pass");
     gpusim::KernelStats stats;
-    std::vector<std::pair<std::size_t, std::size_t>> substages;
+    Substages substages;
     for (std::size_t size = 2; size <= tile; size <<= 1) {
       for (std::size_t stride = size / 2; stride > 0; stride >>= 1) {
         substages.emplace_back(size, stride);
       }
     }
-    for (std::size_t base = 0; base < n; base += tile) {
-      shm.reset_stats();
-      shared_tile_pass(shm, std::span<word>(data).subspan(base, tile), base,
-                       substages, cfg.b, cfg.w, stats);
-      stats.shared += shm.stats();
-      stats.blocks_launched += 1;
-    }
-    stats.elements_processed += n;
-
-    report.close_round("bitonic", "bitonic stages <= tile", stats, launch, cal);
+    shared_pass(substages, stats);
+    launch.close_round("bitonic stages <= tile", stats);
   }
 
   // Remaining stages: global passes down to the tile boundary, then one
@@ -216,19 +169,16 @@ SortReport bitonic_sort(std::span<const word> input, const SortConfig& cfg,
       global_pass(data, size, stride, cfg.w, stats);
       stats.blocks_launched += n / tile;
     }
-    run_shared_tail(size, tile / 2, stats);
-
-    report.close_round("bitonic",
-                       "bitonic stage " + std::to_string(log2_exact(size)),
-                       stats, launch, cal);
+    Substages tail;
+    for (std::size_t stride = tile / 2; stride > 0; stride >>= 1) {
+      tail.emplace_back(size, stride);
+    }
+    shared_pass(tail, stats);
+    launch.close_round("bitonic stage " + std::to_string(log2_exact(size)),
+                       stats);
   }
 
-  WCM_ENSURES(std::is_sorted(data.begin(), data.end()),
-              "bitonic sort must sort");
-  if (output != nullptr) {
-    *output = std::move(data);
-  }
-  return report;
+  return launch.finish(output);
 }
 
 gpusim::ir::KernelDesc describe_bitonic(u32 w, u32 b, u32 pad) {

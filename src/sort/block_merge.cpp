@@ -8,25 +8,6 @@
 
 namespace wcm::sort {
 
-namespace {
-
-/// Accumulate the stats delta of a phase into a sub-counter.
-dmm::MachineStats delta(const dmm::MachineStats& after,
-                        const dmm::MachineStats& before) {
-  dmm::MachineStats d;
-  d.steps = after.steps - before.steps;
-  d.requests = after.requests - before.requests;
-  d.serialization_cycles =
-      after.serialization_cycles - before.serialization_cycles;
-  d.replays = after.replays - before.replays;
-  d.conflicting_accesses =
-      after.conflicting_accesses - before.conflicting_accesses;
-  d.max_bank_degree = std::max(d.max_bank_degree, after.max_bank_degree);
-  return d;
-}
-
-}  // namespace
-
 std::vector<mergepath::CoRank> simulate_block_search(
     gpusim::SharedMemory& shm, std::span<const ThreadSearchCtx> ctxs,
     gpusim::KernelStats& stats) {
@@ -111,7 +92,7 @@ std::vector<mergepath::CoRank> simulate_block_search(
     }
   }
 
-  stats.shared_search += delta(shm.stats(), shared_before);
+  stats.shared_search += shm.stats() - shared_before;
   return result;
 }
 
@@ -196,7 +177,7 @@ std::vector<word> simulate_block_merge(gpusim::SharedMemory& shm,
     }
     stats.warp_merge_steps += E;
   }
-  stats.shared_merge_reads += delta(shm.stats(), before_merge);
+  stats.shared_merge_reads += shm.stats() - before_merge;
 
   // Barrier, then thread-contiguous write-back of the register file, then
   // another barrier before anyone reads the merged output.

@@ -2,9 +2,14 @@
 
 #include <sstream>
 
+#include "sort/launch.hpp"
 #include "util/check.hpp"
 
 namespace wcm::sort {
+
+std::size_t SortConfig::shared_bytes() const noexcept {
+  return block_shared_bytes(tile(), w, padding);
+}
 
 void SortConfig::validate() const {
   WCM_CHECK_CONFIG(E >= 1, "E must be positive");

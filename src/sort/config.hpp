@@ -48,14 +48,11 @@ struct SortConfig {
     return static_cast<std::size_t>(E) * b;
   }
   /// Shared-memory bytes one block allocates (bE 4-byte keys, plus the
-  /// padding waste).
-  [[nodiscard]] std::size_t shared_bytes() const noexcept {
-    const std::size_t pad_words = tile() / w * padding;
-    return (tile() + pad_words) * 4;
-  }
+  /// padding waste; sort::block_shared_bytes).
+  [[nodiscard]] std::size_t shared_bytes() const noexcept;
   [[nodiscard]] u32 warps_per_block() const noexcept { return b / w; }
 
-  /// Throws wcm::contract_error when the configuration is malformed.
+  /// Throws wcm::config_error when the configuration is malformed.
   void validate() const;
 
   [[nodiscard]] std::string to_string() const;

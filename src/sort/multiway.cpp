@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <numeric>
 
-#include "gpusim/shared_memory.hpp"
-#include "sort/blocksort.hpp"
 #include "sort/describe.hpp"
-#include "sort/pairwise_sort.hpp"
+#include "sort/launch.hpp"
 #include "telemetry/span.hpp"
 #include "util/check.hpp"
 #include "util/failpoint.hpp"
@@ -161,16 +159,7 @@ void account_kway_searches(gpusim::SharedMemory& shm,
       }
     }
   }
-  const auto after = shm.stats();
-  gpusim::KernelStats delta;
-  delta.shared_search.steps = after.steps - before.steps;
-  delta.shared_search.requests = after.requests - before.requests;
-  delta.shared_search.serialization_cycles =
-      after.serialization_cycles - before.serialization_cycles;
-  delta.shared_search.replays = after.replays - before.replays;
-  delta.shared_search.conflicting_accesses =
-      after.conflicting_accesses - before.conflicting_accesses;
-  stats.shared_search += delta.shared_search;
+  stats.shared_search += shm.stats() - before;
 }
 
 /// Lock-step K-way merge: at each of E iterations every thread consumes the
@@ -178,9 +167,11 @@ void account_kway_searches(gpusim::SharedMemory& shm,
 /// accounted shared read per thread per iteration, exactly like the
 /// pairwise engine.  A selection among K heads costs ceil(log2 K) extra
 /// compare steps, charged to warp_merge_steps.
-std::vector<word> simulate_kway_merge(gpusim::SharedMemory& shm,
-                                      std::span<ThreadKCtx> ctxs, u32 E,
-                                      gpusim::KernelStats& stats) {
+void simulate_kway_merge(Launch& launch, std::span<ThreadKCtx> ctxs, u32 E,
+                         gpusim::KernelStats& stats) {
+  gpusim::SharedMemory& shm = launch.shm();
+  std::vector<gpusim::LaneRead>& reads = launch.reads();
+  std::vector<gpusim::LaneWrite>& writes = launch.writes();
   const u32 w = shm.warp_size();
   const std::size_t t = ctxs.size();
   std::vector<std::vector<std::size_t>> cursor(t);
@@ -197,7 +188,6 @@ std::vector<word> simulate_kway_merge(gpusim::SharedMemory& shm,
                             : floor_log2(2 * ctxs[0].segs.size() - 1);
 
   const auto before = shm.stats();
-  std::vector<gpusim::LaneRead> reads;
   for (std::size_t warp_start = 0; warp_start < t; warp_start += w) {
     const std::size_t warp_end = std::min<std::size_t>(warp_start + w, t);
     for (u32 s = 0; s < E; ++s) {
@@ -224,20 +214,10 @@ std::vector<word> simulate_kway_merge(gpusim::SharedMemory& shm,
     }
     stats.warp_merge_steps += static_cast<std::size_t>(E) * sel_depth;
   }
-  const auto after = shm.stats();
-  gpusim::KernelStats delta;
-  delta.shared_merge_reads.steps = after.steps - before.steps;
-  delta.shared_merge_reads.requests = after.requests - before.requests;
-  delta.shared_merge_reads.serialization_cycles =
-      after.serialization_cycles - before.serialization_cycles;
-  delta.shared_merge_reads.replays = after.replays - before.replays;
-  delta.shared_merge_reads.conflicting_accesses =
-      after.conflicting_accesses - before.conflicting_accesses;
-  stats.shared_merge_reads += delta.shared_merge_reads;
+  stats.shared_merge_reads += shm.stats() - before;
 
   // Barrier, thread-contiguous write-back, barrier before unstaging reads.
   shm.barrier();
-  std::vector<gpusim::LaneWrite> writes;
   for (std::size_t warp_start = 0; warp_start < t; warp_start += w) {
     const std::size_t warp_end = std::min<std::size_t>(warp_start + w, t);
     for (u32 s = 0; s < E; ++s) {
@@ -250,18 +230,17 @@ std::vector<word> simulate_kway_merge(gpusim::SharedMemory& shm,
     }
   }
   shm.barrier();
-  return regs;
 }
 
 /// Merge one group of K runs into `out`, one block per bE output tile.
-void simulate_group_merge(const std::vector<std::span<const word>>& runs,
-                          std::span<word> out, const SortConfig& cfg,
-                          gpusim::SharedMemory& shm,
-                          gpusim::KernelStats& stats) {
-  const std::size_t tile = cfg.tile();
-  const u32 E = cfg.E;
-  const u32 b = cfg.b;
-  const u32 w = cfg.w;
+void simulate_group_merge(Launch& launch,
+                          const std::vector<std::span<const word>>& runs,
+                          std::span<word> out, gpusim::KernelStats& stats) {
+  gpusim::SharedMemory& shm = launch.shm();
+  const std::size_t tile = launch.tile();
+  const u32 E = launch.cfg().E;
+  const u32 b = launch.cfg().b;
+  const u32 w = launch.cfg().w;
   std::size_t total = 0;
   for (const auto& r : runs) {
     total += r.size();
@@ -279,94 +258,63 @@ void simulate_group_merge(const std::vector<std::span<const word>>& runs,
   }
 
   std::vector<ThreadKCtx> ctxs(b);
-  std::vector<gpusim::LaneWrite> writes;
-  std::vector<gpusim::LaneRead> reads;
   for (std::size_t tidx = 0; tidx + 1 < boundary.size(); ++tidx) {
-    const auto& lo = boundary[tidx];
-    const auto& hi = boundary[tidx + 1];
+    launch.block(stats, [&] {
+      const auto& lo = boundary[tidx];
+      const auto& hi = boundary[tidx + 1];
 
-    // Block boundary between consecutive simulated tiles.
-    shm.barrier();
+      // Block boundary between consecutive simulated tiles.
+      shm.barrier();
 
-    // Stage the tile: segment k at the shared offset of the cumulative
-    // segment sizes; remember the staged copy for the thread searches.
-    std::vector<word> staged;
-    std::vector<std::pair<std::size_t, std::size_t>> seg_addr(runs.size());
-    staged.reserve(tile);
-    for (std::size_t k = 0; k < runs.size(); ++k) {
-      const std::size_t begin = staged.size();
-      staged.insert(staged.end(),
-                    runs[k].begin() + static_cast<std::ptrdiff_t>(lo[k]),
-                    runs[k].begin() + static_cast<std::ptrdiff_t>(hi[k]));
-      seg_addr[k] = {begin, staged.size()};
-      stats.global_transactions += (hi[k] - lo[k] + w - 1) / w + 1;
-    }
-    WCM_ENSURES(staged.size() == tile, "tile staging mismatch");
-    shm.fill(staged);
-    stats.global_requests += tile;
-    for (u32 warp_start = 0; warp_start < b; warp_start += w) {
-      for (u32 s = 0; s < E; ++s) {
-        writes.clear();
-        for (u32 lane = 0; lane < w; ++lane) {
-          const std::size_t addr =
-              static_cast<std::size_t>(warp_start + lane) +
-              static_cast<std::size_t>(s) * b;
-          if (addr < tile) {
-            writes.push_back({lane, addr, shm.peek(addr)});
-          }
-        }
-        shm.warp_write(writes);
-      }
-    }
-    // __syncthreads: the quantile searches probe other threads' staging.
-    shm.barrier();
-
-    // Per-thread quantiles within the staged tile.
-    std::vector<std::span<const word>> segs(runs.size());
-    for (std::size_t k = 0; k < runs.size(); ++k) {
-      segs[k] = std::span<const word>(staged).subspan(
-          seg_addr[k].first, seg_addr[k].second - seg_addr[k].first);
-    }
-    std::vector<std::vector<std::size_t>> tsplit(b + 1);
-    for (u32 t = 0; t <= b; ++t) {
-      std::size_t steps = 0;
-      tsplit[t] = kway_corank(segs, static_cast<std::size_t>(t) * E, steps);
-    }
-    for (u32 t = 0; t < b; ++t) {
-      ctxs[t].segs.assign(runs.size(), {});
+      // Stage the tile: segment k at the shared offset of the cumulative
+      // segment sizes; remember the staged copy for the thread searches.
+      std::vector<word> staged;
+      std::vector<std::pair<std::size_t, std::size_t>> seg_addr(runs.size());
+      staged.reserve(tile);
       for (std::size_t k = 0; k < runs.size(); ++k) {
-        ctxs[t].segs[k] = {seg_addr[k].first + tsplit[t][k],
-                           seg_addr[k].first + tsplit[t + 1][k]};
+        const std::size_t begin = staged.size();
+        staged.insert(staged.end(),
+                      runs[k].begin() + static_cast<std::ptrdiff_t>(lo[k]),
+                      runs[k].begin() + static_cast<std::ptrdiff_t>(hi[k]));
+        seg_addr[k] = {begin, staged.size()};
+        stats.global_transactions += (hi[k] - lo[k] + w - 1) / w + 1;
       }
-      ctxs[t].out_begin = static_cast<std::size_t>(t) * E;
-    }
-    account_kway_searches(shm, ctxs, w, stats);
+      WCM_ENSURES(staged.size() == tile, "tile staging mismatch");
+      shm.fill(staged);
+      stats.global_requests += tile;
+      launch.stage_tile(staged);
+      // __syncthreads: the quantile searches probe other threads' staging.
+      shm.barrier();
 
-    simulate_kway_merge(shm, ctxs, E, stats);
-
-    // Coalesced store (conflict-free unstaging reads, as in the pairwise
-    // engine).
-    for (u32 warp_start = 0; warp_start < b; warp_start += w) {
-      for (u32 s = 0; s < E; ++s) {
-        reads.clear();
-        for (u32 lane = 0; lane < w; ++lane) {
-          const std::size_t addr =
-              static_cast<std::size_t>(warp_start + lane) +
-              static_cast<std::size_t>(s) * b;
-          if (addr < tile) {
-            reads.push_back({lane, addr});
-          }
+      // Per-thread quantiles within the staged tile.
+      std::vector<std::span<const word>> segs(runs.size());
+      for (std::size_t k = 0; k < runs.size(); ++k) {
+        segs[k] = std::span<const word>(staged).subspan(
+            seg_addr[k].first, seg_addr[k].second - seg_addr[k].first);
+      }
+      std::vector<std::vector<std::size_t>> tsplit(b + 1);
+      for (u32 t = 0; t <= b; ++t) {
+        std::size_t steps = 0;
+        tsplit[t] = kway_corank(segs, static_cast<std::size_t>(t) * E, steps);
+      }
+      for (u32 t = 0; t < b; ++t) {
+        ctxs[t].segs.assign(runs.size(), {});
+        for (std::size_t k = 0; k < runs.size(); ++k) {
+          ctxs[t].segs[k] = {seg_addr[k].first + tsplit[t][k],
+                             seg_addr[k].first + tsplit[t + 1][k]};
         }
-        shm.warp_read(reads);
+        ctxs[t].out_begin = static_cast<std::size_t>(t) * E;
       }
-    }
-    const auto merged = shm.dump(0, tile);
-    std::copy(merged.begin(), merged.end(),
-              out.begin() + static_cast<std::ptrdiff_t>(tidx * tile));
-    stats.global_transactions += tile / w;
-    stats.global_requests += tile;
-    stats.blocks_launched += 1;
-    stats.elements_processed += tile;
+      account_kway_searches(shm, ctxs, w, stats);
+
+      simulate_kway_merge(launch, ctxs, E, stats);
+
+      // Coalesced store (conflict-free unstaging reads, as in the pairwise
+      // engine).
+      launch.unstage_tile(out.subspan(tidx * tile, tile));
+      stats.global_transactions += tile / w;
+      stats.global_requests += tile;
+    });
   }
 }
 
@@ -378,52 +326,23 @@ SortReport multiway_merge_sort(std::span<const word> input,
                                std::vector<word>* output) {
   cfg.validate();
   WCM_CHECK_CONFIG(ways >= 2, "need at least 2 ways");
-  WCM_CHECK_CONFIG(cfg.w == dev.warp_size,
-                   "config warp size must match device");
-  const std::size_t tile = cfg.tile();
-  const std::size_t n = input.size();
-  WCM_CHECK_CONFIG(n > 0 && n % tile == 0,
-                   "input size must be a positive multiple of bE");
-
-  const gpusim::Calibration cal =
-      library_calibration(MergeSortLibrary::thrust);
-  const gpusim::LaunchConfig launch{n / tile, cfg.b, cfg.shared_bytes()};
-
-  SortReport report;
-  report.config = cfg;
-  report.device = dev;
-  report.n = n;
-
-  std::vector<word> data(input.begin(), input.end());
-  std::vector<word> buffer(n);
-  gpusim::SharedMemory shm(
-      gpusim::SharedLayout{cfg.w, cfg.padding, cfg.layout}, tile);
-  shm.attach_trace(cfg.trace_sink);
+  Launch launch({.engine = "multiway", .ping_pong = true}, input, cfg, dev);
+  const std::size_t n = launch.n();
 
   WCM_SPAN("multiway.sort");
 
   // Base case: identical to the pairwise sort.
-  {
-    WCM_SPAN("multiway.block_sort");
-    gpusim::KernelStats stats;
-    for (std::size_t base = 0; base < n; base += tile) {
-      shm.reset_stats();
-      simulate_block_sort(shm, std::span<word>(data).subspan(base, tile), cfg,
-                          stats);
-      stats.shared += shm.stats();
-      stats.blocks_launched += 1;
-      stats.elements_processed += tile;
-    }
-    report.close_round("multiway", "block-sort", stats, launch, cal);
-  }
+  launch.block_sort_round("multiway.block_sort");
 
-  std::size_t run = tile;
+  std::size_t run = launch.tile();
   u32 round_idx = 0;
   while (run < n) {
     ++round_idx;
     WCM_SPAN("multiway.merge_round");
     WCM_FAILPOINT("sort.multiway.round", simulation_error,
                   "injected mid-round invariant break");
+    const std::span<const word> data(launch.keys());
+    const std::span<word> buffer(launch.buffer());
     gpusim::KernelStats stats;
     const std::size_t group_out = run * ways;
     for (std::size_t base = 0; base < n; base += group_out) {
@@ -432,8 +351,7 @@ SortReport multiway_merge_sort(std::span<const word> input,
       for (u32 k = 0; k < ways && base + group_size < n; ++k) {
         const std::size_t len =
             std::min(run, n - base - group_size);
-        runs.push_back(
-            std::span<const word>(data).subspan(base + group_size, len));
+        runs.push_back(data.subspan(base + group_size, len));
         group_size += len;
       }
       if (runs.size() == 1) {
@@ -443,28 +361,16 @@ SortReport multiway_merge_sort(std::span<const word> input,
         stats.global_requests += 2 * runs[0].size();
         continue;
       }
-      shm.reset_stats();
-      gpusim::KernelStats group_stats;
-      simulate_group_merge(
-          runs, std::span<word>(buffer).subspan(base, group_size), cfg, shm,
-          group_stats);
-      group_stats.shared += shm.stats();
-      stats += group_stats;
+      simulate_group_merge(launch, runs, buffer.subspan(base, group_size),
+                           stats);
     }
-    data.swap(buffer);
+    launch.swap();
 
-    report.close_round("multiway",
-                       "multiway round " + std::to_string(round_idx), stats,
-                       launch, cal);
+    launch.close_round("multiway round " + std::to_string(round_idx), stats);
     run = group_out;
   }
 
-  WCM_CHECK_SIM(std::is_sorted(data.begin(), data.end()),
-                "multiway merge sort must sort");
-  if (output != nullptr) {
-    *output = std::move(data);
-  }
-  return report;
+  return launch.finish(output);
 }
 
 gpusim::ir::KernelDesc describe_multiway(u32 w, u32 b, u32 pad, u32 ways) {

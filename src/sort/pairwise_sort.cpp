@@ -6,8 +6,8 @@
 
 #include "mergepath/partition.hpp"
 #include "sort/block_merge.hpp"
-#include "sort/blocksort.hpp"
 #include "sort/describe.hpp"
+#include "sort/launch.hpp"
 #include "telemetry/span.hpp"
 #include "util/check.hpp"
 #include "util/cli.hpp"
@@ -60,14 +60,15 @@ std::size_t coalesced_transactions(std::size_t base, std::size_t count,
   return last - first + 1;
 }
 
-/// Merge one pair of sorted runs (in `data`) into `out`, one simulated
-/// thread block per bE-element output tile.
-void simulate_pair_merge(std::span<const word> data_a,
+/// Merge one pair of sorted runs into `out`, one simulated thread block
+/// per bE-element output tile.
+void simulate_pair_merge(Launch& launch, std::span<const word> data_a,
                          std::span<const word> data_b, std::size_t a_base,
                          std::size_t b_base, std::span<word> out,
-                         const SortConfig& cfg, gpusim::SharedMemory& shm,
                          gpusim::KernelStats& stats) {
-  const std::size_t tile = cfg.tile();
+  const SortConfig& cfg = launch.cfg();
+  gpusim::SharedMemory& shm = launch.shm();
+  const std::size_t tile = launch.tile();
   const u32 E = cfg.E;
   const u32 b = cfg.b;
   const u32 w = cfg.w;
@@ -81,88 +82,63 @@ void simulate_pair_merge(std::span<const word> data_a,
 
   std::vector<ThreadSearchCtx> search_ctxs(b);
   std::vector<ThreadMergeCtx> merge_ctxs(b);
-  std::vector<gpusim::LaneWrite> writes;
-  std::vector<gpusim::LaneRead> reads;
+  std::vector<word> staged;
+  staged.reserve(tile);
 
   const std::size_t tiles = (data_a.size() + data_b.size()) / tile;
   for (std::size_t tidx = 0; tidx < tiles; ++tidx) {
-    const auto [a_lo, b_lo] = part.splits[tidx];
-    const auto [a_hi, b_hi] = part.splits[tidx + 1];
-    const std::size_t na = a_hi - a_lo;
-    const std::size_t nb = b_hi - b_lo;
+    launch.block(stats, [&] {
+      const auto [a_lo, b_lo] = part.splits[tidx];
+      const auto [a_hi, b_hi] = part.splits[tidx + 1];
+      const std::size_t na = a_hi - a_lo;
+      const std::size_t nb = b_hi - b_lo;
 
-    // Block boundary between consecutive simulated tiles.
-    shm.barrier();
+      // Block boundary between consecutive simulated tiles.
+      shm.barrier();
 
-    // Stage the tile in shared memory: A segment at [0, na), B segment at
-    // [na, na + nb).  Global side is coalesced; the shared-side stores go
-    // through the banked memory (thread t stores elements t, t+b, ...).
-    shm.fill(data_a.subspan(a_lo, na), 0);
-    shm.fill(data_b.subspan(b_lo, nb), na);
-    stats.global_transactions += coalesced_transactions(a_base + a_lo, na, w);
-    stats.global_transactions += coalesced_transactions(b_base + b_lo, nb, w);
-    stats.global_requests += tile;
-    for (u32 warp_start = 0; warp_start < b; warp_start += w) {
-      for (u32 s = 0; s < E; ++s) {
-        writes.clear();
-        for (u32 lane = 0; lane < w; ++lane) {
-          const std::size_t addr =
-              static_cast<std::size_t>(warp_start + lane) +
-              static_cast<std::size_t>(s) * b;
-          if (addr < tile) {
-            writes.push_back({lane, addr, shm.peek(addr)});
-          }
-        }
-        shm.warp_write(writes);
+      // Stage the tile in shared memory: A segment at [0, na), B segment at
+      // [na, na + nb).  Global side is coalesced; the shared-side stores go
+      // through the banked memory.
+      const auto seg_a = data_a.subspan(a_lo, na);
+      const auto seg_b = data_b.subspan(b_lo, nb);
+      staged.assign(seg_a.begin(), seg_a.end());
+      staged.insert(staged.end(), seg_b.begin(), seg_b.end());
+      shm.fill(seg_a, 0);
+      shm.fill(seg_b, na);
+      stats.global_transactions += coalesced_transactions(a_base + a_lo, na, w);
+      stats.global_transactions += coalesced_transactions(b_base + b_lo, nb, w);
+      stats.global_requests += tile;
+      launch.stage_tile(staged);
+      // __syncthreads: the searches probe other threads' staged elements.
+      shm.barrier();
+
+      // In-block merge-path searches: thread t owns output ranks
+      // [tE, (t+1)E) of the tile.
+      for (u32 t = 0; t < b; ++t) {
+        search_ctxs[t] = {0, na, na, na + nb,
+                          static_cast<std::size_t>(t) * E};
       }
-    }
-    // __syncthreads: the searches probe other threads' staged elements.
-    shm.barrier();
-
-    // In-block merge-path searches: thread t owns output ranks
-    // [tE, (t+1)E) of the tile.
-    for (u32 t = 0; t < b; ++t) {
-      search_ctxs[t] = {0, na, na, na + nb,
-                        static_cast<std::size_t>(t) * E};
-    }
-    const auto coranks = simulate_block_search(shm, search_ctxs, stats);
-    for (u32 t = 0; t < b; ++t) {
-      const bool last = t + 1 == b;
-      merge_ctxs[t].a_begin = coranks[t].i;
-      merge_ctxs[t].a_end = last ? na : coranks[t + 1].i;
-      merge_ctxs[t].b_begin = na + coranks[t].j;
-      merge_ctxs[t].b_end = na + (last ? nb : coranks[t + 1].j);
-      merge_ctxs[t].out_begin = static_cast<std::size_t>(t) * E;
-    }
-
-    // Lock-step merge to registers, barrier, write-back to shared in rank
-    // order (this is the attacked access stream).
-    simulate_block_merge(shm, merge_ctxs, E, /*write_back=*/true, stats,
-                         cfg.realistic_refills);
-
-    // Coalesced store to global: thread t reads shared elements t, t+b, ...
-    // (bank-conflict free) and writes them out coalesced.
-    for (u32 warp_start = 0; warp_start < b; warp_start += w) {
-      for (u32 s = 0; s < E; ++s) {
-        reads.clear();
-        for (u32 lane = 0; lane < w; ++lane) {
-          const std::size_t addr =
-              static_cast<std::size_t>(warp_start + lane) +
-              static_cast<std::size_t>(s) * b;
-          if (addr < tile) {
-            reads.push_back({lane, addr});
-          }
-        }
-        shm.warp_read(reads);
+      const auto coranks = simulate_block_search(shm, search_ctxs, stats);
+      for (u32 t = 0; t < b; ++t) {
+        const bool last = t + 1 == b;
+        merge_ctxs[t].a_begin = coranks[t].i;
+        merge_ctxs[t].a_end = last ? na : coranks[t + 1].i;
+        merge_ctxs[t].b_begin = na + coranks[t].j;
+        merge_ctxs[t].b_end = na + (last ? nb : coranks[t + 1].j);
+        merge_ctxs[t].out_begin = static_cast<std::size_t>(t) * E;
       }
-    }
-    const auto merged = shm.dump(0, tile);
-    std::copy(merged.begin(), merged.end(),
-              out.begin() + static_cast<std::ptrdiff_t>(tidx * tile));
-    stats.global_transactions += tile / w;
-    stats.global_requests += tile;
-    stats.blocks_launched += 1;
-    stats.elements_processed += tile;
+
+      // Lock-step merge to registers, barrier, write-back to shared in rank
+      // order (this is the attacked access stream).
+      simulate_block_merge(shm, merge_ctxs, E, /*write_back=*/true, stats,
+                           cfg.realistic_refills);
+
+      // Coalesced store to global: thread t reads shared elements t, t+b,
+      // ... (bank-conflict free) and writes them out coalesced.
+      launch.unstage_tile(out.subspan(tidx * tile, tile));
+      stats.global_transactions += tile / w;
+      stats.global_requests += tile;
+    });
   }
 }
 
@@ -187,59 +163,32 @@ SortReport pairwise_merge_sort(std::span<const word> input,
                                MergeSortLibrary lib,
                                std::vector<word>* output) {
   cfg.validate();
-  WCM_CHECK_CONFIG(cfg.w == dev.warp_size,
-                   "config warp size must match device");
-  const std::size_t tile = cfg.tile();
-  const std::size_t n = input.size();
-  WCM_CHECK_CONFIG(n > 0 && n % tile == 0,
-                   "input size must be a positive multiple of bE");
-
-  const gpusim::Calibration cal = library_calibration(lib);
-  const gpusim::LaunchConfig launch{n / tile, cfg.b, cfg.shared_bytes()};
-
-  SortReport report;
-  report.config = cfg;
-  report.device = dev;
-  report.n = n;
-
-  std::vector<word> data(input.begin(), input.end());
-  std::vector<word> buffer(n);
-  gpusim::SharedMemory shm(
-      gpusim::SharedLayout{cfg.w, cfg.padding, cfg.layout}, tile);
-  shm.attach_trace(cfg.trace_sink);
+  Launch launch({.engine = "pairwise", .ping_pong = true, .library = lib},
+                input, cfg, dev);
+  const std::size_t n = launch.n();
 
   WCM_SPAN("pairwise.sort");
 
   // Base case: every block sorts its own tile.
-  {
-    WCM_SPAN("pairwise.block_sort");
-    gpusim::KernelStats stats;
-    for (std::size_t base = 0; base < n; base += tile) {
-      shm.reset_stats();
-      simulate_block_sort(shm, std::span<word>(data).subspan(base, tile), cfg,
-                          stats);
-      stats.shared += shm.stats();
-      stats.blocks_launched += 1;
-      stats.elements_processed += tile;
-    }
-    report.close_round("pairwise", "block-sort", stats, launch, cal);
-  }
+  launch.block_sort_round("pairwise.block_sort");
 
   // Global pairwise merge rounds: merge adjacent runs until one run is left.
-  std::size_t run = tile;
+  std::size_t run = launch.tile();
   u32 round_idx = 0;
   while (run < n) {
     ++round_idx;
     WCM_SPAN("pairwise.merge_round");
     WCM_FAILPOINT("sort.pairwise.round", simulation_error,
                   "injected mid-round invariant break");
+    const std::span<const word> data(launch.keys());
+    const std::span<word> buffer(launch.buffer());
     gpusim::KernelStats stats;
     const std::size_t out_run = 2 * run;
     for (std::size_t base = 0; base < n; base += out_run) {
       if (base + run >= n) {
         // Unpaired trailing run: copied through.
         std::copy(data.begin() + static_cast<std::ptrdiff_t>(base),
-                  data.begin() + static_cast<std::ptrdiff_t>(n),
+                  data.end(),
                   buffer.begin() + static_cast<std::ptrdiff_t>(base));
         const std::size_t rem = n - base;
         stats.global_transactions += 2 * ceil_div(rem, cfg.w);
@@ -247,30 +196,17 @@ SortReport pairwise_merge_sort(std::span<const word> input,
         continue;
       }
       const std::size_t len_b = std::min(run, n - base - run);
-      shm.reset_stats();
-      gpusim::KernelStats pair_stats;
-      simulate_pair_merge(
-          std::span<const word>(data).subspan(base, run),
-          std::span<const word>(data).subspan(base + run, len_b), base,
-          base + run,
-          std::span<word>(buffer).subspan(base, run + len_b), cfg, shm,
-          pair_stats);
-      pair_stats.shared += shm.stats();
-      stats += pair_stats;
+      simulate_pair_merge(launch, data.subspan(base, run),
+                          data.subspan(base + run, len_b), base, base + run,
+                          buffer.subspan(base, run + len_b), stats);
     }
-    data.swap(buffer);
+    launch.swap();
 
-    report.close_round("pairwise", "merge round " + std::to_string(round_idx),
-                       stats, launch, cal);
+    launch.close_round("merge round " + std::to_string(round_idx), stats);
     run = out_run;
   }
 
-  WCM_CHECK_SIM(std::is_sorted(data.begin(), data.end()),
-                "pairwise merge sort must sort");
-  if (output != nullptr) {
-    *output = std::move(data);
-  }
-  return report;
+  return launch.finish(output);
 }
 
 SortReport pairwise_merge_sort_any(std::span<const word> input,

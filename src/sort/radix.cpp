@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <numeric>
 
-#include "gpusim/shared_memory.hpp"
 #include "sort/describe.hpp"
-#include "sort/pairwise_sort.hpp"
+#include "sort/launch.hpp"
 #include "telemetry/span.hpp"
 #include "util/check.hpp"
 
@@ -29,11 +28,10 @@ SortReport radix_sort(std::span<const word> input, const SortConfig& cfg,
                       std::vector<word>* output) {
   cfg.validate();
   WCM_EXPECTS(digit_bits >= 1 && digit_bits <= 16, "digit width 1..16");
-  WCM_EXPECTS(cfg.w == dev.warp_size, "config warp size must match device");
-  const std::size_t tile = cfg.tile();
-  const std::size_t n = input.size();
-  WCM_EXPECTS(n > 0 && n % tile == 0,
-              "input size must be a positive multiple of bE");
+  const std::size_t bins = std::size_t{1} << digit_bits;
+  // Shared layout per block: the tile's keys plus the histogram bins.
+  Launch launch({.engine = "radix", .extra_words = bins, .ping_pong = true},
+                input, cfg, dev);
 
   word max_key = 0;
   for (const word k : input) {
@@ -45,29 +43,15 @@ SortReport radix_sort(std::span<const word> input, const SortConfig& cfg,
     ++key_bits;
   }
   const u32 passes = radix_pass_count(key_bits, digit_bits);
-  const std::size_t bins = std::size_t{1} << digit_bits;
 
-  const u32 b = cfg.b;
+  const std::size_t tile = launch.tile();
+  const std::size_t n = launch.n();
   const u32 w = cfg.w;
-  // Shared layout per block: the tile's keys plus the histogram bins.
-  const std::size_t shared_words = tile + bins;
-  const std::size_t pad_words = shared_words / w * cfg.padding;
-  const gpusim::LaunchConfig launch{n / tile, b, (shared_words + pad_words) * 4};
-  const gpusim::Calibration cal =
-      library_calibration(MergeSortLibrary::thrust);
-
-  SortReport report;
-  report.config = cfg;
-  report.device = dev;
-  report.n = n;
-
-  std::vector<word> data(input.begin(), input.end());
-  std::vector<word> buffer(n);
-  gpusim::SharedMemory shm(
-      gpusim::SharedLayout{w, cfg.padding, cfg.layout}, shared_words);
-  shm.attach_trace(cfg.trace_sink);
-  std::vector<gpusim::LaneRead> reads;
-  std::vector<gpusim::LaneWrite> writes;
+  gpusim::SharedMemory& shm = launch.shm();
+  std::vector<gpusim::LaneRead>& reads = launch.reads();
+  std::vector<gpusim::LaneWrite>& writes = launch.writes();
+  const std::vector<word>& data = launch.keys();
+  std::vector<word>& buffer = launch.buffer();
 
   WCM_SPAN("radix.sort");
 
@@ -84,69 +68,67 @@ SortReport radix_sort(std::span<const word> input, const SortConfig& cfg,
     // the functional global counting.
     std::vector<std::size_t> global_count(bins, 0);
     for (std::size_t base = 0; base < n; base += tile) {
-      shm.reset_stats();
-      // Block boundary between consecutive simulated tiles.
-      shm.barrier();
-      shm.fill(std::span<const word>(data).subspan(base, tile));
-      stats.global_transactions += tile / w;
-      stats.global_requests += tile;
-      // Zero the histogram (one warp pass over the bins).
-      for (std::size_t bin0 = 0; bin0 < bins; bin0 += w) {
-        writes.clear();
-        for (u32 lane = 0; lane < w && bin0 + lane < bins; ++lane) {
-          writes.push_back({lane, tile + bin0 + lane, 0});
-        }
-        shm.warp_write(writes);
-      }
-      // __syncthreads: the histogram updates read bins other lanes zeroed.
-      shm.barrier();
-      // Every key increments its bin: warp-wide read of the counters (keys
-      // with equal digits broadcast the read but serialize the writes,
-      // which the CREW model surfaces as conflicting distinct updates --
-      // modeled as one read + one write per key with intra-warp collisions
-      // resolved in log-style rounds: colliding lanes retry, exactly the
-      // hardware's atomic behavior).
-      // The read-modify-write update rounds model shared-memory atomics:
-      // tag them so the race detector exempts atomic/atomic pairs on the
-      // same bin (see docs/LINT.md).
-      shm.set_atomic_section(true);
-      for (std::size_t k0 = 0; k0 < tile; k0 += w) {
-        // Group this warp's keys by bin; each distinct bin gets one update
-        // round per colliding lane (serialized atomics).
-        std::vector<std::pair<std::size_t, u32>> lane_bins;  // (bin, lane)
-        for (u32 lane = 0; lane < w && k0 + lane < tile; ++lane) {
-          lane_bins.emplace_back(digit_of(data[base + k0 + lane]), lane);
-        }
-        std::sort(lane_bins.begin(), lane_bins.end());
-        // Round-robin: in each round, one lane per distinct bin performs
-        // its read-modify-write; lanes of the same bin go in later rounds.
-        while (!lane_bins.empty()) {
-          reads.clear();
+      launch.block(stats, [&] {
+        // Block boundary between consecutive simulated tiles.
+        shm.barrier();
+        shm.fill(std::span<const word>(data).subspan(base, tile));
+        stats.global_transactions += tile / w;
+        stats.global_requests += tile;
+        // Zero the histogram (one warp pass over the bins).
+        for (std::size_t bin0 = 0; bin0 < bins; bin0 += w) {
           writes.clear();
-          std::vector<std::pair<std::size_t, u32>> rest;
-          std::size_t prev_bin = static_cast<std::size_t>(-1);
-          for (const auto& [bin, lane] : lane_bins) {
-            if (bin == prev_bin) {
-              rest.emplace_back(bin, lane);
-              continue;
-            }
-            prev_bin = bin;
-            reads.push_back({lane, tile + bin});
-            writes.push_back({lane, tile + bin, shm.peek(tile + bin) + 1});
+          for (u32 lane = 0; lane < w && bin0 + lane < bins; ++lane) {
+            writes.push_back({lane, tile + bin0 + lane, 0});
           }
-          shm.warp_read(reads);
           shm.warp_write(writes);
-          lane_bins = std::move(rest);
-          stats.warp_merge_steps += 1;
         }
-      }
-      shm.set_atomic_section(false);
-      for (std::size_t i = 0; i < tile; ++i) {
-        ++global_count[digit_of(data[base + i])];
-      }
-      stats.shared += shm.stats();
-      stats.blocks_launched += 1;
-      stats.elements_processed += tile;
+        // __syncthreads: the histogram updates read bins other lanes zeroed.
+        shm.barrier();
+        // Every key increments its bin: warp-wide read of the counters (keys
+        // with equal digits broadcast the read but serialize the writes,
+        // which the CREW model surfaces as conflicting distinct updates --
+        // modeled as one read + one write per key with intra-warp collisions
+        // resolved in log-style rounds: colliding lanes retry, exactly the
+        // hardware's atomic behavior).
+        // The read-modify-write update rounds model shared-memory atomics:
+        // tag them so the race detector exempts atomic/atomic pairs on the
+        // same bin (see docs/LINT.md).
+        shm.set_atomic_section(true);
+        for (std::size_t k0 = 0; k0 < tile; k0 += w) {
+          // Group this warp's keys by bin; each distinct bin gets one update
+          // round per colliding lane (serialized atomics).
+          std::vector<std::pair<std::size_t, u32>> lane_bins;  // (bin, lane)
+          for (u32 lane = 0; lane < w && k0 + lane < tile; ++lane) {
+            lane_bins.emplace_back(digit_of(data[base + k0 + lane]), lane);
+          }
+          std::sort(lane_bins.begin(), lane_bins.end());
+          // Round-robin: in each round, one lane per distinct bin performs
+          // its read-modify-write; lanes of the same bin go in later rounds.
+          while (!lane_bins.empty()) {
+            reads.clear();
+            writes.clear();
+            std::vector<std::pair<std::size_t, u32>> rest;
+            std::size_t prev_bin = static_cast<std::size_t>(-1);
+            for (const auto& [bin, lane] : lane_bins) {
+              if (bin == prev_bin) {
+                rest.emplace_back(bin, lane);
+                continue;
+              }
+              prev_bin = bin;
+              reads.push_back({lane, tile + bin});
+              writes.push_back({lane, tile + bin, shm.peek(tile + bin) + 1});
+            }
+            shm.warp_read(reads);
+            shm.warp_write(writes);
+            lane_bins = std::move(rest);
+            stats.warp_merge_steps += 1;
+          }
+        }
+        shm.set_atomic_section(false);
+        for (std::size_t i = 0; i < tile; ++i) {
+          ++global_count[digit_of(data[base + i])];
+        }
+      });
     }
 
     // Global digit offsets (device-wide scan of the histograms): charged as
@@ -163,22 +145,16 @@ SortReport radix_sort(std::span<const word> input, const SortConfig& cfg,
     for (std::size_t i = 0; i < n; ++i) {
       buffer[offset[digit_of(data[i])]++] = data[i];
     }
-    data.swap(buffer);
+    launch.swap();
     stats.global_requests += 2 * n;
     const std::size_t scatter_eff =
         std::max<std::size_t>(1, w / std::min<std::size_t>(bins, w));
     stats.global_transactions += n / scatter_eff + n / w;
 
-    report.close_round("radix", "radix pass " + std::to_string(pass), stats,
-                       launch, cal);
+    launch.close_round("radix pass " + std::to_string(pass), stats);
   }
 
-  WCM_ENSURES(std::is_sorted(data.begin(), data.end()),
-              "radix sort must sort");
-  if (output != nullptr) {
-    *output = std::move(data);
-  }
-  return report;
+  return launch.finish(output);
 }
 
 gpusim::ir::KernelDesc describe_radix(u32 w, u32 b, u32 pad, u32 digit_bits) {

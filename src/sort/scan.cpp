@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <numeric>
 
-#include "gpusim/shared_memory.hpp"
 #include "sort/describe.hpp"
-#include "sort/pairwise_sort.hpp"
+#include "sort/launch.hpp"
 #include "telemetry/span.hpp"
 #include "util/check.hpp"
 
@@ -16,153 +15,131 @@ SortReport block_scan(std::span<const word> input, const SortConfig& cfg,
   WCM_EXPECTS(cfg.E >= 1, "E must be positive");
   WCM_EXPECTS(is_pow2(cfg.b) && cfg.b >= cfg.w,
               "block size must be a power of two >= warp size");
-  WCM_EXPECTS(cfg.w == dev.warp_size, "config warp size must match device");
-  const std::size_t tile = cfg.tile();
-  const std::size_t n = input.size();
-  WCM_EXPECTS(n > 0 && n % tile == 0,
-              "input size must be a positive multiple of bE");
-
+  // Shared layout: the tile at [0, tile), per-thread totals at
+  // [tile, tile + b).
+  Launch launch({.engine = "scan", .extra_words = cfg.b, .sorts = false},
+                input, cfg, dev);
+  const std::size_t tile = launch.tile();
+  const std::size_t n = launch.n();
   const u32 E = cfg.E;
   const u32 b = cfg.b;
   const u32 w = cfg.w;
-  // Shared layout: the tile at [0, tile), per-thread totals at
-  // [tile, tile + b).
-  const std::size_t shared_words = tile + b;
-  const std::size_t pad_words = shared_words / w * cfg.padding;
-  const gpusim::LaunchConfig launch{n / tile, b, (shared_words + pad_words) * 4};
-  const gpusim::Calibration cal =
-      library_calibration(MergeSortLibrary::thrust);
-
-  SortReport report;
-  report.config = cfg;
-  report.device = dev;
-  report.n = n;
-
-  std::vector<word> data(input.begin(), input.end());
-  gpusim::SharedMemory shm(
-      gpusim::SharedLayout{w, cfg.padding, cfg.layout}, shared_words);
-  shm.attach_trace(cfg.trace_sink);
+  std::vector<word>& data = launch.keys();
+  gpusim::SharedMemory& shm = launch.shm();
+  std::vector<gpusim::LaneRead>& reads = launch.reads();
+  std::vector<gpusim::LaneWrite>& writes = launch.writes();
   gpusim::KernelStats stats;
-  std::vector<gpusim::LaneRead> reads;
-  std::vector<gpusim::LaneWrite> writes;
 
   WCM_SPAN("scan.block_scan");
 
   word carry = 0;
   for (std::size_t base = 0; base < n; base += tile) {
-    WCM_SPAN("scan.tile");
-    // Block boundary: one SharedMemory hosts many simulated blocks in
-    // sequence, so each tile starts from a synchronized state.
-    shm.barrier();
-    shm.reset_stats();
-    shm.fill(std::span<const word>(data).subspan(base, tile));
-    stats.global_transactions += tile / w;
-    stats.global_requests += tile;
-
-    // Phase 1: every thread serially scans its E consecutive elements —
-    // the Dotsenko access pattern: at step s, lane t touches bank
-    // (tE + s) mod w.  Read-modify-write in place.
-    for (u32 warp_start = 0; warp_start < b; warp_start += w) {
-      for (u32 s = 0; s < E; ++s) {
-        reads.clear();
-        for (u32 lane = 0; lane < w; ++lane) {
-          reads.push_back(
-              {lane,
-               static_cast<std::size_t>(warp_start + lane) * E + s});
-        }
-        shm.warp_read(reads);
-        writes.clear();
-        for (u32 lane = 0; lane < w; ++lane) {
-          const std::size_t addr =
-              static_cast<std::size_t>(warp_start + lane) * E + s;
-          const word prev = s == 0 ? 0 : shm.peek(addr - 1);
-          writes.push_back({lane, addr, shm.peek(addr) + prev});
-        }
-        shm.warp_write(writes);
-      }
-    }
-    // Publish per-thread totals.
-    for (u32 warp_start = 0; warp_start < b; warp_start += w) {
-      writes.clear();
-      for (u32 lane = 0; lane < w; ++lane) {
-        const u32 t = warp_start + lane;
-        writes.push_back(
-            {lane, tile + t,
-             shm.peek(static_cast<std::size_t>(t) * E + E - 1)});
-      }
-      shm.warp_write(writes);
-    }
-    // __syncthreads: phase 2 reads totals other threads published.
-    shm.barrier();
-
-    // Phase 2: Hillis–Steele scan over the b totals.
-    for (u32 dist = 1; dist < b; dist <<= 1) {
-      std::vector<word> updated(b);
-      for (u32 warp_start = 0; warp_start < b; warp_start += w) {
-        reads.clear();
-        for (u32 lane = 0; lane < w; ++lane) {
-          const u32 t = warp_start + lane;
-          reads.push_back({lane, tile + (t >= dist ? t - dist : t)});
-        }
-        shm.warp_read(reads);
-      }
-      // __syncthreads: every gather must finish before any total is
-      // overwritten (the textbook double-buffer sync of Hillis-Steele).
+    launch.block(stats, [&] {
+      WCM_SPAN("scan.tile");
+      // Block boundary: one SharedMemory hosts many simulated blocks in
+      // sequence, so each tile starts from a synchronized state.
       shm.barrier();
-      for (u32 t = 0; t < b; ++t) {
-        updated[t] = shm.peek(tile + t) +
-                     (t >= dist ? shm.peek(tile + t - dist) : 0);
+      shm.fill(std::span<const word>(data).subspan(base, tile));
+      stats.global_transactions += tile / w;
+      stats.global_requests += tile;
+
+      // Phase 1: every thread serially scans its E consecutive elements —
+      // the Dotsenko access pattern: at step s, lane t touches bank
+      // (tE + s) mod w.  Read-modify-write in place.
+      for (u32 warp_start = 0; warp_start < b; warp_start += w) {
+        for (u32 s = 0; s < E; ++s) {
+          reads.clear();
+          for (u32 lane = 0; lane < w; ++lane) {
+            reads.push_back(
+                {lane,
+                 static_cast<std::size_t>(warp_start + lane) * E + s});
+          }
+          shm.warp_read(reads);
+          writes.clear();
+          for (u32 lane = 0; lane < w; ++lane) {
+            const std::size_t addr =
+                static_cast<std::size_t>(warp_start + lane) * E + s;
+            const word prev = s == 0 ? 0 : shm.peek(addr - 1);
+            writes.push_back({lane, addr, shm.peek(addr) + prev});
+          }
+          shm.warp_write(writes);
+        }
       }
+      // Publish per-thread totals.
       for (u32 warp_start = 0; warp_start < b; warp_start += w) {
         writes.clear();
         for (u32 lane = 0; lane < w; ++lane) {
           const u32 t = warp_start + lane;
-          writes.push_back({lane, tile + t, updated[t]});
+          writes.push_back(
+              {lane, tile + t,
+               shm.peek(static_cast<std::size_t>(t) * E + E - 1)});
         }
         shm.warp_write(writes);
       }
-      // __syncthreads: the next round's gathers read these stores.
+      // __syncthreads: phase 2 reads totals other threads published.
       shm.barrier();
-    }
 
-    // Phase 3: add the exclusive per-thread prefix back (same banked
-    // pattern as phase 1).
-    for (u32 warp_start = 0; warp_start < b; warp_start += w) {
-      for (u32 s = 0; s < E; ++s) {
-        reads.clear();
-        writes.clear();
-        for (u32 lane = 0; lane < w; ++lane) {
-          const u32 t = warp_start + lane;
-          const std::size_t addr = static_cast<std::size_t>(t) * E + s;
-          reads.push_back({lane, addr});
-          const word prefix = t == 0 ? 0 : shm.peek(tile + t - 1);
-          writes.push_back({lane, addr, shm.peek(addr) + prefix});
+      // Phase 2: Hillis–Steele scan over the b totals.
+      for (u32 dist = 1; dist < b; dist <<= 1) {
+        std::vector<word> updated(b);
+        for (u32 warp_start = 0; warp_start < b; warp_start += w) {
+          reads.clear();
+          for (u32 lane = 0; lane < w; ++lane) {
+            const u32 t = warp_start + lane;
+            reads.push_back({lane, tile + (t >= dist ? t - dist : t)});
+          }
+          shm.warp_read(reads);
         }
-        shm.warp_read(reads);
-        shm.warp_write(writes);
+        // __syncthreads: every gather must finish before any total is
+        // overwritten (the textbook double-buffer sync of Hillis-Steele).
+        shm.barrier();
+        for (u32 t = 0; t < b; ++t) {
+          updated[t] = shm.peek(tile + t) +
+                       (t >= dist ? shm.peek(tile + t - dist) : 0);
+        }
+        for (u32 warp_start = 0; warp_start < b; warp_start += w) {
+          writes.clear();
+          for (u32 lane = 0; lane < w; ++lane) {
+            const u32 t = warp_start + lane;
+            writes.push_back({lane, tile + t, updated[t]});
+          }
+          shm.warp_write(writes);
+        }
+        // __syncthreads: the next round's gathers read these stores.
+        shm.barrier();
       }
-    }
 
-    const auto scanned = shm.dump(0, tile);
-    for (std::size_t i = 0; i < tile; ++i) {
-      data[base + i] = scanned[i] + carry;
-    }
-    carry = data[base + tile - 1];
-    stats.global_transactions += tile / w;
-    stats.global_requests += tile;
-    stats.blocks_launched += 1;
-    stats.elements_processed += tile;
-    stats.shared += shm.stats();
-    stats.warp_merge_steps += static_cast<std::size_t>(b / w) * 2 * E;
+      // Phase 3: add the exclusive per-thread prefix back (same banked
+      // pattern as phase 1).
+      for (u32 warp_start = 0; warp_start < b; warp_start += w) {
+        for (u32 s = 0; s < E; ++s) {
+          reads.clear();
+          writes.clear();
+          for (u32 lane = 0; lane < w; ++lane) {
+            const u32 t = warp_start + lane;
+            const std::size_t addr = static_cast<std::size_t>(t) * E + s;
+            reads.push_back({lane, addr});
+            const word prefix = t == 0 ? 0 : shm.peek(tile + t - 1);
+            writes.push_back({lane, addr, shm.peek(addr) + prefix});
+          }
+          shm.warp_read(reads);
+          shm.warp_write(writes);
+        }
+      }
+
+      const auto scanned = shm.dump(0, tile);
+      for (std::size_t i = 0; i < tile; ++i) {
+        data[base + i] = scanned[i] + carry;
+      }
+      carry = data[base + tile - 1];
+      stats.global_transactions += tile / w;
+      stats.global_requests += tile;
+      stats.warp_merge_steps += static_cast<std::size_t>(b / w) * 2 * E;
+    });
   }
 
-  report.close_round("scan", "block-scan", stats, launch, cal);
-
-  // Host check: inclusive prefix sum.
-  if (output != nullptr) {
-    *output = std::move(data);
-  }
-  return report;
+  launch.close_round("block-scan", stats);
+  return launch.finish(output);
 }
 
 gpusim::ir::KernelDesc describe_block_scan(u32 w, u32 b, u32 pad) {

@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <functional>
 
-#include "gpusim/shared_memory.hpp"
 #include "sort/describe.hpp"
-#include "sort/pairwise_sort.hpp"
+#include "sort/launch.hpp"
 #include "telemetry/span.hpp"
 #include "util/check.hpp"
 
@@ -75,8 +74,12 @@ void column_pass(gpusim::SharedMemory& shm, std::size_t c, std::size_t rows,
 
 /// Stage one tile, shear it until snake-sorted, and unstage in snake
 /// order so the tile leaves row-major ascending.
-void shear_tile(gpusim::SharedMemory& shm, std::span<word> tile_data, u32 b,
-                u32 E, u32 w, gpusim::KernelStats& stats) {
+void shear_tile(Launch& launch, std::span<word> tile_data,
+                gpusim::KernelStats& stats) {
+  gpusim::SharedMemory& shm = launch.shm();
+  std::vector<gpusim::LaneRead>& reads = launch.reads();
+  std::vector<gpusim::LaneWrite>& writes = launch.writes();
+  const u32 w = launch.cfg().w;
   const std::size_t tile = tile_data.size();
   const std::size_t rows = tile / w;
 
@@ -87,19 +90,7 @@ void shear_tile(gpusim::SharedMemory& shm, std::span<word> tile_data, u32 b,
   // (thread t stores elements t, t + b, ..., t + (E-1)b; stride-1).
   stats.global_transactions += tile / w;
   stats.global_requests += tile;
-  std::vector<gpusim::LaneWrite> writes;
-  std::vector<gpusim::LaneRead> reads;
-  for (u32 warp_start = 0; warp_start < b; warp_start += w) {
-    for (u32 s = 0; s < E; ++s) {
-      writes.clear();
-      for (u32 lane = 0; lane < w; ++lane) {
-        const std::size_t idx = static_cast<std::size_t>(warp_start + lane) +
-                                static_cast<std::size_t>(s) * b;
-        writes.push_back({lane, idx, tile_data[idx]});
-      }
-      shm.warp_write(writes);
-    }
-  }
+  launch.stage_tile(tile_data);
   // __syncthreads: row/column warps read other warps' staged keys.
   shm.barrier();
 
@@ -150,28 +141,13 @@ void shear_tile(gpusim::SharedMemory& shm, std::span<word> tile_data, u32 b,
 SortReport shearsort(std::span<const word> input, const SortConfig& cfg,
                      const gpusim::Device& dev, std::vector<word>* output) {
   cfg.validate();
-  WCM_EXPECTS(cfg.w == dev.warp_size, "config warp size must match device");
   // The mesh is w columns by bE/w rows and the staging loop writes full
   // warps; both need the block to split into whole warps.
   WCM_EXPECTS(cfg.b % cfg.w == 0, "block size must be a multiple of the warp");
-  const std::size_t tile = cfg.tile();
-  const std::size_t n = input.size();
-  WCM_EXPECTS(n >= tile && n % tile == 0,
-              "n must be a positive multiple of the tile bE");
-
-  const gpusim::LaunchConfig launch{n / tile, cfg.b, cfg.shared_bytes()};
-  const gpusim::Calibration cal =
-      library_calibration(MergeSortLibrary::thrust);
-
-  SortReport report;
-  report.config = cfg;
-  report.device = dev;
-  report.n = n;
-
-  std::vector<word> data(input.begin(), input.end());
-  gpusim::SharedMemory shm(
-      gpusim::SharedLayout{cfg.w, cfg.padding, cfg.layout}, tile);
-  shm.attach_trace(cfg.trace_sink);
+  Launch launch({.engine = "shearsort"}, input, cfg, dev);
+  const std::size_t tile = launch.tile();
+  const std::size_t n = launch.n();
+  std::vector<word>& data = launch.keys();
 
   WCM_SPAN("shearsort.sort");
 
@@ -180,15 +156,11 @@ SortReport shearsort(std::span<const word> input, const SortConfig& cfg,
     WCM_SPAN("shearsort.tiles");
     gpusim::KernelStats stats;
     for (std::size_t base = 0; base < n; base += tile) {
-      shm.reset_stats();
-      shear_tile(shm, std::span<word>(data).subspan(base, tile), cfg.b, cfg.E,
-                 cfg.w, stats);
-      stats.shared += shm.stats();
-      stats.blocks_launched += 1;
+      launch.block(stats, [&] {
+        shear_tile(launch, std::span<word>(data).subspan(base, tile), stats);
+      });
     }
-    stats.elements_processed += n;
-
-    report.close_round("shearsort", "shearsort tiles", stats, launch, cal);
+    launch.close_round("shearsort tiles", stats);
   }
 
   // Pairwise merge of sorted runs in global memory: coalesced streaming,
@@ -211,17 +183,10 @@ SortReport shearsort(std::span<const word> input, const SortConfig& cfg,
     stats.blocks_launched += n / (2 * run);
     stats.elements_processed += n;
 
-    report.close_round("shearsort",
-                       "merge round " + std::to_string(round_idx), stats,
-                       launch, cal);
+    launch.close_round("merge round " + std::to_string(round_idx), stats);
   }
 
-  WCM_ENSURES(std::is_sorted(data.begin(), data.end()),
-              "shearsort must sort");
-  if (output != nullptr) {
-    *output = std::move(data);
-  }
-  return report;
+  return launch.finish(output);
 }
 
 gpusim::ir::KernelDesc describe_shearsort(u32 w, u32 b, u32 pad) {

@@ -25,6 +25,7 @@ constexpr const char* kBuiltin[] = {
     "sim.smem.invariant",     // SharedMemory::warp_read: mid-access break
     "sort.pairwise.round",    // pairwise_merge_sort: mid-round break
     "sort.multiway.round",    // multiway_merge_sort: mid-round break
+    "analyze.verify.pass",    // PassManager::run: break between passes
     "runtime.worker.job",     // scheduler worker: break before a job body
     "runtime.cache.load",     // ResultCache::load: read failure
     "runtime.cache.store",    // ResultCache::store: write failure

@@ -104,5 +104,25 @@ TEST(MachineStats, MergeOfTotals) {
   EXPECT_EQ(a.max_bank_degree, 5u);
 }
 
+// A phase's share of a machine's running totals: counts subtract, the
+// bank degree stays the running maximum read at the phase's end.
+TEST(MachineStats, DifferenceOfTotalsIsThePhasesShare) {
+  Machine m(4, 16);
+  const std::vector<Request> spread{{0, 0, Op::read, 0}, {1, 1, Op::read, 0}};
+  const std::vector<Request> clash{{0, 0, Op::read, 0}, {1, 4, Op::read, 0},
+                                   {2, 8, Op::read, 0}};
+  (void)m.step(clash, nullptr);
+  const MachineStats before = m.stats();
+  (void)m.step(spread, nullptr);
+  (void)m.step(spread, nullptr);
+  const MachineStats phase = m.stats() - before;
+  EXPECT_EQ(phase.steps, 2u);
+  EXPECT_EQ(phase.requests, 4u);
+  EXPECT_EQ(phase.serialization_cycles, 2u);
+  EXPECT_EQ(phase.replays, 0u);
+  EXPECT_EQ(phase.conflicting_accesses, 0u);
+  EXPECT_EQ(phase.max_bank_degree, 3u);
+}
+
 }  // namespace
 }  // namespace wcm::dmm

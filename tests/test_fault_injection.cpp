@@ -390,7 +390,8 @@ TEST_F(FaultInjectionTest, KnownListsAllBuiltins) {
        {"io.read.open", "io.read.alloc", "io.read.truncated",
         "io.read.checksum", "io.write.fail", "trace.read.malformed",
         "sim.smem.alloc", "sim.smem.invariant", "sort.pairwise.round",
-        "sort.multiway.round", "runtime.worker.job", "runtime.cache.load",
+        "sort.multiway.round", "analyze.verify.pass", "runtime.worker.job",
+        "runtime.cache.load",
         "runtime.cache.store", "runtime.journal.append",
         "runtime.journal.replay", "telemetry.export.write",
         "telemetry.registry.snapshot", "telemetry.eventlog.write",
@@ -446,6 +447,15 @@ TEST_F(FaultInjectionTest, EveryRegisteredFailpointFired) {
        {errc::simulation_invariant, [&] { run_pairwise(); }}},
       {"sort.multiway.round",
        {errc::simulation_invariant, [&] { run_multiway(); }}},
+      {"analyze.verify.pass",
+       {errc::simulation_invariant,
+        [] {
+          analyze::passes::VerifyOptions vopts;
+          vopts.ws = {2};
+          vopts.e_max = 4;
+          vopts.differential = false;
+          (void)analyze::passes::run_verify({"pairwise"}, vopts);
+        }}},
       {"runtime.worker.job",
        {errc::simulation_invariant,
         [] {

@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include "analysis/experiment.hpp"
@@ -453,6 +454,75 @@ TEST(CampaignFaults, CancelledCampaignDrainsAndStaysResumable) {
   EXPECT_FALSE(resumed.interrupted());
   EXPECT_EQ(resumed.json, ref.json);
   std::filesystem::remove(jpath);
+}
+
+// A WCMC cache only accelerates: a store that fails after every cell is
+// computed costs the speedup, not the aggregate, and the previous cache
+// file stays byte for byte (the store writes a temporary and renames it).
+TEST(CampaignFaults, FailedCacheStoreStillWritesTheAggregate) {
+  const auto spec = parse_campaign_spec(kSmallSpec);
+  CampaignOptions plain;
+  plain.threads = 1;
+  plain.use_cache = false;
+  const auto ref = run_campaign(spec, plain);
+
+  const auto cache_path =
+      std::filesystem::temp_directory_path() / "wcm_campaign_store_fail.wcmc";
+  std::filesystem::remove(cache_path);
+  CampaignOptions cached;
+  cached.threads = 1;
+  cached.cache_path = cache_path;
+  // Seed the cache with half of the grid, so the armed run has new cells
+  // to store.
+  {
+    const auto half = parse_campaign_spec(R"({
+      "name": "unit", "device": "m4000", "seed": 11,
+      "grid": [{"engine": "pairwise", "E": 5, "b": 64,
+                "input": ["random", "worst-case"], "k": [1]}]})");
+    (void)run_campaign(half, cached);
+  }
+  const auto bytes_of = [&] {
+    std::ifstream is(cache_path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(is), {});
+  };
+  const std::string before = bytes_of();
+  ASSERT_FALSE(before.empty());
+
+  for (const bool fail_fast : {false, true}) {
+    SCOPED_TRACE(fail_fast ? "fail_fast" : "quarantine");
+    const failpoint::scoped_arm fp("runtime.cache.store");
+    CampaignOptions armed = cached;
+    armed.fail_fast = fail_fast;
+    const auto outcome = run_campaign(spec, armed);
+    EXPECT_EQ(outcome.cache_hits, 2u);
+    EXPECT_EQ(outcome.computed, 2u);
+    EXPECT_FALSE(outcome.degraded());
+    EXPECT_EQ(outcome.json, ref.json);
+    EXPECT_EQ(bytes_of(), before);
+  }
+  std::filesystem::remove(cache_path);
+}
+
+// Under fail_fast the first cell error still surfaces, not the store's.
+TEST(CampaignFaults, FailFastRethrowsTheCellErrorOverAFailedStore) {
+  const auto spec = parse_campaign_spec(kSmallSpec);
+  const auto cache_path =
+      std::filesystem::temp_directory_path() / "wcm_campaign_store_ff.wcmc";
+  std::filesystem::remove(cache_path);
+  const failpoint::scoped_arm job("runtime.worker.job", /*skip=*/1);
+  const failpoint::scoped_arm store("runtime.cache.store");
+  CampaignOptions opts;
+  opts.threads = 1;
+  opts.cache_path = cache_path;
+  opts.fail_fast = true;
+  try {
+    (void)run_campaign(spec, opts);
+    FAIL() << "the failed cell was not rethrown";
+  } catch (const wcm::error& e) {
+    EXPECT_NE(e.context().find("runtime.worker.job"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(std::filesystem::exists(cache_path));
 }
 
 TEST(RunSweeps, MatchesTheSerialSweepExactly) {

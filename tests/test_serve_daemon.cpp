@@ -20,6 +20,8 @@
 #include <cstring>
 #include <exception>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <utility>
@@ -300,6 +302,49 @@ TEST(ServeDaemon, WcmsCacheSurvivesARestart) {
   }
   EXPECT_GE(counter("serve.cache.hit"), 1u);
   EXPECT_EQ(counter("serve.jobs"), 0u);  // nothing was recomputed
+  telemetry::set_enabled(false);
+  telemetry::registry().reset();
+  std::filesystem::remove_all(data_dir);
+}
+
+// The response cache only accelerates: a store that fails at drain is one
+// warning and one counter tick, every request still gets its response,
+// and the previous responses.wcms stays byte for byte.
+TEST(ServeDaemon, FailedCacheStoreAtDrainKeepsTheOldFileAndEveryResponse) {
+  const std::filesystem::path data_dir =
+      std::filesystem::temp_directory_path() /
+      ("wcmd_test_store_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(data_dir);
+  ServerConfig cfg;
+  cfg.socket = test_socket("storefail");
+  cfg.data_dir = data_dir.string();
+  {
+    RunningServer rs(cfg);
+    Client client = connect_with_retry(cfg.socket, kConnectTimeoutMs);
+    EXPECT_TRUE(ok_of(client.roundtrip(kGenerate)));
+  }  // drain stores the first responses.wcms
+  const auto bytes_of = [](const std::filesystem::path& path) {
+    std::ifstream is(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(is), {});
+  };
+  const std::filesystem::path wcms = data_dir / "responses.wcms";
+  const std::string before = bytes_of(wcms);
+  ASSERT_FALSE(before.empty());
+
+  telemetry::registry().reset();
+  telemetry::set_enabled(true);
+  {
+    RunningServer rs(cfg);
+    Client client = connect_with_retry(cfg.socket, kConnectTimeoutMs);
+    EXPECT_TRUE(ok_of(client.roundtrip(
+        R"({"op":"generate","id":"g2","params":{"E":5,"b":64,"k":2}})")));
+    const failpoint::scoped_arm arm("runtime.cache.store");
+    const ServerStats stats = rs.drain();  // the failed store is not thrown
+    EXPECT_EQ(stats.requests, 1u);
+    EXPECT_EQ(stats.responses, stats.requests);
+  }
+  EXPECT_EQ(counter("runtime.cache.store_failed"), 1u);
+  EXPECT_EQ(bytes_of(wcms), before);
   telemetry::set_enabled(false);
   telemetry::registry().reset();
   std::filesystem::remove_all(data_dir);

@@ -147,6 +147,15 @@ expect_exit(6 ${CMAKE_COMMAND} -E env WCM_FAILPOINTS=runtime.worker.job
 # the spec operand may follow a switch (--quiet takes no value)
 expect_exit(0 ${WCMGEN} campaign --quiet ${WORKDIR}/exitcode_campaign.json
             --no-cache)
+# a failed cache store costs only the speedup -> 0, with --out written
+file(REMOVE ${WORKDIR}/exitcode_store.out.json)
+expect_exit(0 ${CMAKE_COMMAND} -E env WCM_FAILPOINTS=runtime.cache.store
+            ${WCMGEN} campaign ${WORKDIR}/exitcode_campaign.json --quiet
+            --cache ${WORKDIR}/exitcode_store.wcmc
+            --out ${WORKDIR}/exitcode_store.out.json)
+if(NOT EXISTS ${WORKDIR}/exitcode_store.out.json)
+  message(FATAL_ERROR "a failed cache store left no --out aggregate")
+endif()
 # a cell its engine's shape rule refuses is a bad configuration -> 4,
 # before any cell runs (not a quarantined cell and exit 6)
 file(WRITE ${WORKDIR}/exitcode_refused.json
@@ -157,5 +166,6 @@ expect_exit(4 ${WCMGEN} campaign ${WORKDIR}/exitcode_refused.json
 file(REMOVE ${WORKDIR}/exitcode_corrupt.wcmi ${WORKDIR}/exitcode_ok.wcmi
      ${WORKDIR}/exitcode_campaign.json
      ${WORKDIR}/exitcode_campaign.json.wcmj
+     ${WORKDIR}/exitcode_store.wcmc ${WORKDIR}/exitcode_store.out.json
      ${WORKDIR}/exitcode_refused.json
      ${WORKDIR}/exitcode_refused.json.wcmj)
