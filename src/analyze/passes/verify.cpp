@@ -5,15 +5,14 @@
 #include <sstream>
 #include <utility>
 
-#include "analyze/symbolic/domain.hpp"
 #include "analyze/symbolic/prove.hpp"
+#include "analyze/symbolic/theorems.hpp"
 #include "core/assignment.hpp"
 #include "core/numbers.hpp"
 #include "core/warp_construction.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/trace.hpp"
 #include "sort/cpu_reference.hpp"
-#include "sort/describe.hpp"
 #include "sort/engines.hpp"
 #include "telemetry/registry.hpp"
 #include "util/check.hpp"
@@ -88,28 +87,6 @@ ShapeVerdict verify_shape(const PassManager& pm, const std::string& engine,
   return v;
 }
 
-/// The symbolic merge-read bound at one concrete E: the pairwise engine's
-/// theorem-site window group, instantiated (mirrors the theorem
-/// cross-check's internal recount, but swept over non-coprime E too).
-u64 theorem_site_bound_at(u32 w, u32 E) {
-  const gpusim::ir::KernelDesc desc =
-      sort::describe_pairwise(w, /*b=*/2 * w, /*pad=*/0);
-  symbolic::Valuation valuation(desc.symbols.size(), 0);
-  for (std::size_t i = 0; i < desc.symbols.size(); ++i) {
-    valuation[i] = desc.symbols[i].lo;
-  }
-  const int e_index = desc.find_symbol("E");
-  WCM_EXPECTS(e_index >= 0, "pairwise describer must declare E");
-  valuation[static_cast<std::size_t>(e_index)] = E;
-  for (const gpusim::ir::StepGroup& g : desc.groups) {
-    if (g.theorem_site) {
-      return symbolic::window_bound_at(desc, g, valuation);
-    }
-  }
-  WCM_EXPECTS(false, "pairwise describer must mark a theorem site");
-  return 0;
-}
-
 /// Sweep the non-coprime (w, E) regimes the Theorem 3/9 constructions
 /// exclude and measure how far the coprime closed form overshoots what a
 /// sorted-order warp can actually attain there.
@@ -147,7 +124,7 @@ std::vector<BreakdownRow> sweep_breakdown(const VerifyOptions& opts) {
         row.attained =
             std::max<u64>(row.attained, core::evaluate_warp(wa, s).aligned);
       }
-      row.step_bound = theorem_site_bound_at(w, E);
+      row.step_bound = symbolic::theorem_site_bound(w, E);
       row.breaks_down = row.attained < row.promised;
       rows.push_back(std::move(row));
     }

@@ -5,6 +5,7 @@
 #include <ostream>
 #include <sstream>
 
+#include "dmm/access.hpp"
 #include "util/check.hpp"
 #include "util/hash.hpp"
 #include "util/json.hpp"
@@ -15,47 +16,31 @@ namespace ir = gpusim::ir;
 
 namespace {
 
-/// Replay concrete lane addresses as one warp step through a fresh DMM and
-/// return the worst per-bank distinct-address count.  Addresses are
-/// shifted by a multiple of w² when negative — a w²-aligned shift keeps
-/// both row residue and column, hence every layout's bank, invariant.
-u64 replay_degree(const gpusim::SharedLayout& layout, std::vector<i64> addrs,
-                  ir::GroupKind kind) {
+/// Price concrete lane addresses as one warp-wide read through
+/// dmm::analyze_step and return the worst per-bank distinct-address count.
+/// Addresses are shifted by a multiple of w² when negative — a w²-aligned
+/// shift keeps both row residue and column, hence every layout's bank,
+/// invariant.  A write witness with duplicate addresses from distinct
+/// lanes is a CREW race, so every witness is priced as a read (bank
+/// pricing is identical).
+u64 replay_degree(const gpusim::SharedLayout& layout,
+                  const std::vector<i64>& addrs) {
   if (addrs.empty()) {
     return 0;
   }
   const i64 w2 = static_cast<i64>(layout.w) * layout.w;
   const i64 min = *std::min_element(addrs.begin(), addrs.end());
-  if (min < 0) {
-    const i64 shift = static_cast<i64>(
-        ceil_div(static_cast<u64>(-min), static_cast<u64>(w2)) *
-        static_cast<u64>(w2));
-    for (i64& a : addrs) {
-      a += shift;
-    }
+  const i64 shift =
+      min < 0 ? static_cast<i64>(
+                    ceil_div(static_cast<u64>(-min), static_cast<u64>(w2)) *
+                    static_cast<u64>(w2))
+              : 0;
+  std::vector<dmm::Request> step;
+  for (u32 lane = 0; lane < layout.w && lane < addrs.size(); ++lane) {
+    const auto addr = static_cast<std::size_t>(addrs[lane] + shift);
+    step.push_back({lane, layout.physical(addr), dmm::Op::read, 0});
   }
-  gpusim::Trace trace;
-  trace.warp_size = layout.w;
-  gpusim::TraceStep step;
-  // A write step with duplicate addresses from distinct lanes is a CREW
-  // race; replay the witness as a read (bank pricing is identical).
-  step.kind = gpusim::StepKind::read;
-  (void)kind;
-  u32 lane = 0;
-  for (const i64 a : addrs) {
-    if (lane >= layout.w) {
-      break;
-    }
-    step.accesses.emplace_back(lane++, static_cast<std::size_t>(a));
-  }
-  trace.logical_words =
-      static_cast<std::size_t>(
-          *std::max_element(addrs.begin(), addrs.end())) +
-      1;
-  trace.steps.push_back(std::move(step));
-  const auto costs = gpusim::replay_step_costs(trace, layout);
-  WCM_EXPECTS(costs.size() == 1, "replay must price the witness step");
-  return costs[0].max_bank_degree;
+  return dmm::analyze_step(step, layout.w).max_bank_degree;
 }
 
 /// Witness valuation for a window group: maximize the instantiated span
@@ -150,7 +135,7 @@ void append_counterexample(std::vector<CertCounterexample>& out,
     ce.valuation.emplace_back(desc.symbols[i].name, val[i]);
   }
   ce.witness_degree = exact_degree(layout, ce.addresses);
-  ce.replayed_degree = replay_degree(layout, ce.addresses, group.kind);
+  ce.replayed_degree = replay_degree(layout, ce.addresses);
   ce.confirmed =
       ce.replayed_degree == ce.witness_degree && ce.replayed_degree > 1;
   out.push_back(std::move(ce));

@@ -43,8 +43,8 @@ u64 static_aligned(const core::WarpAssignment& wa, u32 s) {
   return aligned;
 }
 
-/// The symbolic merge-read bound at this concrete E: the pairwise engine's
-/// theorem-site window group, instantiated.
+}  // namespace
+
 u64 theorem_site_bound(u32 w, u32 E) {
   const gpusim::ir::KernelDesc desc =
       sort::describe_pairwise(w, /*b=*/2 * w, /*pad=*/0);
@@ -63,8 +63,6 @@ u64 theorem_site_bound(u32 w, u32 E) {
   WCM_EXPECTS(false, "pairwise describer must mark a theorem site");
   return 0;
 }
-
-}  // namespace
 
 TheoremInstance check_theorem(u32 w, u32 E) {
   const core::ERegime regime = core::classify_e(w, E);

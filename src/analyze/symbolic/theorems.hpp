@@ -40,6 +40,10 @@ struct TheoremInstance {
   std::string note;  ///< non-empty explanation when !ok
 };
 
+/// The symbolic merge-read bound at one concrete E (any E, co-prime or
+/// not): the pairwise engine's theorem-site window group, instantiated.
+[[nodiscard]] u64 theorem_site_bound(u32 w, u32 E);
+
 /// Cross-check one co-prime (w, E) pair; contract-checks the regime.
 [[nodiscard]] TheoremInstance check_theorem(u32 w, u32 E);
 

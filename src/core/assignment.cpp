@@ -81,30 +81,35 @@ AddressSchedule schedule_addresses(const WarpAssignment& wa) {
 
 }  // namespace
 
-WarpEval evaluate_warp(const WarpAssignment& wa, u32 s) {
-  wa.validate();
-  WCM_EXPECTS(s < wa.w, "alignment window start out of range");
-  const AddressSchedule sched = schedule_addresses(wa);
-
+WarpEval evaluate_schedule(
+    const std::vector<std::vector<std::size_t>>& per_thread, u32 w, u32 E,
+    u32 s) {
+  WCM_EXPECTS(per_thread.size() == w, "need one schedule per thread");
   WarpEval eval;
-  eval.step_degree.reserve(wa.E);
+  eval.step_degree.reserve(E);
   std::vector<dmm::Request> step;
-  step.reserve(wa.w);
-  for (u32 j = 0; j < wa.E; ++j) {
+  step.reserve(w);
+  for (u32 j = 0; j < E; ++j) {
     step.clear();
-    const std::size_t aligned_bank = (s + j) % wa.w;
-    for (u32 t = 0; t < wa.w; ++t) {
-      const std::size_t addr = sched.per_thread[t][j];
+    const std::size_t aligned_bank = (s + j) % w;
+    for (u32 t = 0; t < w; ++t) {
+      const std::size_t addr = per_thread[t][j];
       step.push_back({t, addr, dmm::Op::read, 0});
-      if (addr % wa.w == aligned_bank) {
+      if (addr % w == aligned_bank) {
         ++eval.aligned;
       }
     }
-    const dmm::StepCost cost = dmm::analyze_step(step, wa.w);
+    const dmm::StepCost cost = dmm::analyze_step(step, w);
     eval.step_degree.push_back(cost.max_bank_degree);
     eval.totals += cost;
   }
   return eval;
+}
+
+WarpEval evaluate_warp(const WarpAssignment& wa, u32 s) {
+  wa.validate();
+  WCM_EXPECTS(s < wa.w, "alignment window start out of range");
+  return evaluate_schedule(schedule_addresses(wa).per_thread, wa.w, wa.E, s);
 }
 
 void optimize_scan_orders(WarpAssignment& wa, u32 s) {

@@ -48,6 +48,15 @@ struct WarpEval {
   std::vector<std::size_t> step_degree;
 };
 
+/// The lock-step schedule evaluator behind evaluate_warp and
+/// evaluate_kway_warp: `per_thread[t][j]` is the shared address thread t
+/// (of w) reads at iteration j (of E).  Counts the elements read at
+/// iteration j from bank (s + j) mod w and prices each iteration's
+/// warp-wide read as one DMM step.
+[[nodiscard]] WarpEval evaluate_schedule(
+    const std::vector<std::vector<std::size_t>>& per_thread, u32 w, u32 E,
+    u32 s);
+
 /// Replay the warp's E lock-step iterations.  A occupies shared addresses
 /// [0, total_a); B occupies [ceil(total_a / w) * w, ...), so both lists
 /// start at bank 0 exactly as the constructions (and the simulated block

@@ -49,7 +49,7 @@ void KWarpAssignment::validate() const {
   }
 }
 
-KWarpEval evaluate_kway_warp(const KWarpAssignment& wa, u32 s) {
+WarpEval evaluate_kway_warp(const KWarpAssignment& wa, u32 s) {
   wa.validate();
   WCM_EXPECTS(s < wa.w, "alignment window start out of range");
 
@@ -74,21 +74,7 @@ KWarpEval evaluate_kway_warp(const KWarpAssignment& wa, u32 s) {
     }
   }
 
-  KWarpEval eval;
-  std::vector<dmm::Request> step;
-  for (u32 j = 0; j < wa.E; ++j) {
-    step.clear();
-    const std::size_t aligned_bank = (s + j) % wa.w;
-    for (u32 t = 0; t < wa.w; ++t) {
-      const std::size_t addr = sched[t][j];
-      step.push_back({t, addr, dmm::Op::read, 0});
-      if (addr % wa.w == aligned_bank) {
-        ++eval.aligned;
-      }
-    }
-    eval.totals += dmm::analyze_step(step, wa.w);
-  }
-  return eval;
+  return evaluate_schedule(sched, wa.w, wa.E, s);
 }
 
 KWarpAssignment build_kway_warp(u32 w, u32 E, u32 ways) {

@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "core/assignment.hpp"
-#include "dmm/machine.hpp"
+#include "dmm/access.hpp"
 #include "sort/config.hpp"
 
 namespace wcm::core {
@@ -44,15 +44,10 @@ struct KWarpAssignment {
   void validate() const;
 };
 
-struct KWarpEval {
-  std::size_t aligned = 0;
-  dmm::StepCost totals;
-};
-
 /// Replay the warp's E lock-step iterations (run k staged at the cumulative
 /// base of runs < k; every total is a multiple of w so bases are bank 0).
 /// Window starts at bank `s`.
-[[nodiscard]] KWarpEval evaluate_kway_warp(const KWarpAssignment& wa, u32 s);
+[[nodiscard]] WarpEval evaluate_kway_warp(const KWarpAssignment& wa, u32 s);
 
 /// Build the K-way worst-case warp: column quota per run differing by at
 /// most one (sum = E), Theorem 3's greedy over K cursors.  Requires the

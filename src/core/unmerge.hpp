@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "core/assignment.hpp"
-#include "dmm/machine.hpp"
+#include "dmm/access.hpp"
 #include "sort/config.hpp"
 
 namespace wcm::core {

@@ -17,6 +17,66 @@ StepCost& StepCost::operator+=(const StepCost& o) noexcept {
   return *this;
 }
 
+MachineStats& MachineStats::operator+=(const StepCost& c) noexcept {
+  steps += 1;
+  requests += c.requests;
+  serialization_cycles += c.serialization;
+  replays += c.replays;
+  conflicting_accesses += c.conflicting_accesses;
+  max_bank_degree = std::max(max_bank_degree, c.max_bank_degree);
+  return *this;
+}
+
+MachineStats& MachineStats::operator+=(const MachineStats& o) noexcept {
+  steps += o.steps;
+  requests += o.requests;
+  serialization_cycles += o.serialization_cycles;
+  replays += o.replays;
+  conflicting_accesses += o.conflicting_accesses;
+  max_bank_degree = std::max(max_bank_degree, o.max_bank_degree);
+  return *this;
+}
+
+MachineStats MachineStats::operator-(
+    const MachineStats& before) const noexcept {
+  MachineStats d = *this;
+  d.steps -= before.steps;
+  d.requests -= before.requests;
+  d.serialization_cycles -= before.serialization_cycles;
+  d.replays -= before.replays;
+  d.conflicting_accesses -= before.conflicting_accesses;
+  return d;
+}
+
+namespace {
+
+/// Throws unless every processor id in `step` is distinct: a bitmask for
+/// ids below 64 (every simulated warp), a sorted copy when any id is wider.
+void expect_distinct_procs(std::span<const Request> step) {
+  std::uint64_t seen = 0;
+  bool repeated = false;
+  bool wide = false;
+  for (const Request& r : step) {
+    const std::uint64_t bit = r.proc < 64 ? std::uint64_t{1} << r.proc : 0;
+    repeated = repeated || (seen & bit) != 0;
+    wide = wide || r.proc >= 64;
+    seen |= bit;
+  }
+  WCM_EXPECTS(!repeated, "duplicate processor id in one step");
+  if (wide) {
+    std::vector<std::size_t> procs;
+    procs.reserve(step.size());
+    for (const Request& r : step) {
+      procs.push_back(r.proc);
+    }
+    std::sort(procs.begin(), procs.end());
+    WCM_EXPECTS(std::adjacent_find(procs.begin(), procs.end()) == procs.end(),
+                "duplicate processor id in one step");
+  }
+}
+
+}  // namespace
+
 StepCost analyze_step(std::span<const Request> step, std::size_t num_banks) {
   WCM_EXPECTS(num_banks > 0, "bank count must be positive");
 
@@ -25,6 +85,7 @@ StepCost analyze_step(std::span<const Request> step, std::size_t num_banks) {
   if (step.empty()) {
     return cost;
   }
+  expect_distinct_procs(step);
 
   // Sort a copy by (bank, addr) so distinct addresses per bank — and CREW
   // violations — can be found with one linear scan.  Steps are at most one
@@ -49,12 +110,6 @@ StepCost analyze_step(std::span<const Request> step, std::size_t num_banks) {
               }
               return a.addr < b.addr;
             });
-
-  for (std::size_t i = 1; i < sorted.size(); ++i) {
-    WCM_EXPECTS(sorted[i].proc != sorted[i - 1].proc ||
-                    sorted[i].addr != sorted[i - 1].addr,
-                "duplicate processor id in one step");
-  }
 
   std::size_t i = 0;
   while (i < sorted.size()) {

@@ -17,7 +17,11 @@
 //                           constructs E^2 of these per warp per round.
 //
 // CREW: concurrent writes to the same address are a model violation and
-// throw; concurrent reads are allowed (and broadcast for free).
+// throw; concurrent reads are allowed (and broadcast for free).  A
+// processor issues at most one request per step.
+//
+// MachineStats sums StepCosts over a run of steps; gpusim::SharedMemory
+// keeps one per simulated block, and trace replay builds one offline.
 
 #include <cstddef>
 #include <cstdint>
@@ -25,6 +29,9 @@
 #include <vector>
 
 namespace wcm::dmm {
+
+/// One machine word of the simulated memory.
+using word = std::int64_t;
 
 enum class Op : unsigned char { read, write };
 
@@ -51,9 +58,26 @@ struct StepCost {
   bool operator==(const StepCost& o) const noexcept = default;
 };
 
+/// Running totals over a sequence of steps.
+struct MachineStats {
+  std::size_t steps = 0;
+  std::size_t requests = 0;
+  std::size_t serialization_cycles = 0;
+  std::size_t replays = 0;
+  std::size_t conflicting_accesses = 0;
+  std::size_t max_bank_degree = 0;
+
+  MachineStats& operator+=(const StepCost& c) noexcept;
+  MachineStats& operator+=(const MachineStats& o) noexcept;
+  /// What accumulated since `before` was read off the same running totals:
+  /// the counts subtract, max_bank_degree stays this side's running maximum.
+  [[nodiscard]] MachineStats operator-(
+      const MachineStats& before) const noexcept;
+};
+
 /// Analyze one synchronous step on a machine with `num_banks` modules.
 /// Throws wcm::contract_error on a CREW violation (two writes, or a read and
-/// a write, to the same address) or on duplicate processor ids.
+/// a write, to the same address) or when a processor id appears twice.
 [[nodiscard]] StepCost analyze_step(std::span<const Request> step,
                                     std::size_t num_banks);
 

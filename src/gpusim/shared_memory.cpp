@@ -1,5 +1,7 @@
 #include "gpusim/shared_memory.hpp"
 
+#include <algorithm>
+
 #include "gpusim/trace.hpp"
 #include "util/check.hpp"
 #include "util/failpoint.hpp"
@@ -10,10 +12,7 @@ SharedMemory::SharedMemory(u32 warp_size, std::size_t words, u32 pad)
     : SharedMemory(SharedLayout{warp_size, pad}, words) {}
 
 SharedMemory::SharedMemory(const SharedLayout& layout, std::size_t words)
-    : warp_size_(layout.w),
-      layout_(layout),
-      logical_words_(words),
-      machine_(layout.w, layout_.physical_words(words)) {
+    : layout_(layout), mem_(words, word{0}) {
   WCM_CHECK_CONFIG(layout.w >= 1, "warp size must be positive");
   // Only the xor permutation needs a power of two: `col ^ (row % w)` is
   // bijective on [0, w) iff w is a power of two, while the linear and
@@ -28,7 +27,7 @@ SharedMemory::SharedMemory(const SharedLayout& layout, std::size_t words)
 void SharedMemory::attach_trace(TraceRecorder* recorder) {
   recorder_ = recorder;
   if (recorder_ != nullptr) {
-    recorder_->on_attach(warp_size_, logical_words_);
+    recorder_->on_attach(layout_.w, mem_.size());
   }
 }
 
@@ -38,56 +37,53 @@ void SharedMemory::barrier() {
   }
 }
 
-std::vector<word> SharedMemory::warp_read(std::span<const LaneRead> reads) {
-  WCM_CHECK_SIM(reads.size() <= warp_size_, "more requests than lanes");
+template <class Lane>
+void SharedMemory::price(std::span<const Lane> lanes, dmm::Op op) {
+  WCM_CHECK_SIM(lanes.size() <= layout_.w, "more requests than lanes");
+  scratch_.clear();
+  for (const Lane& l : lanes) {
+    WCM_CHECK_SIM(l.lane < layout_.w, "lane out of range");
+    WCM_CHECK_SIM(l.addr < mem_.size(), op == dmm::Op::read
+                                            ? "read out of bounds"
+                                            : "write out of bounds");
+    scratch_.push_back({l.lane, layout_.physical(l.addr), op, 0});
+  }
+  stats_ += dmm::analyze_step(scratch_, layout_.w);
+}
+
+void SharedMemory::warp_read(std::span<const LaneRead> reads) {
   WCM_FAILPOINT("sim.smem.invariant", simulation_error,
                 "injected mid-access invariant break");
+  price(reads, dmm::Op::read);
   if (recorder_ != nullptr) {
     recorder_->on_read(reads, atomic_section_);
   }
-  scratch_.clear();
-  for (const LaneRead& r : reads) {
-    WCM_CHECK_SIM(r.lane < warp_size_, "lane out of range");
-    WCM_CHECK_SIM(r.addr < logical_words_, "read out of bounds");
-    scratch_.push_back({r.lane, layout_.physical(r.addr), dmm::Op::read, 0});
-  }
-  machine_.step(scratch_, &scratch_reads_);
-  return scratch_reads_;
 }
 
 void SharedMemory::warp_write(std::span<const LaneWrite> writes) {
-  WCM_CHECK_SIM(writes.size() <= warp_size_, "more requests than lanes");
+  price(writes, dmm::Op::write);
   if (recorder_ != nullptr) {
     recorder_->on_write(writes, atomic_section_);
   }
-  scratch_.clear();
   for (const LaneWrite& w : writes) {
-    WCM_CHECK_SIM(w.lane < warp_size_, "lane out of range");
-    WCM_CHECK_SIM(w.addr < logical_words_, "write out of bounds");
-    scratch_.push_back(
-        {w.lane, layout_.physical(w.addr), dmm::Op::write, w.value});
+    mem_[w.addr] = w.value;
   }
-  machine_.step(scratch_, nullptr);
 }
 
 void SharedMemory::fill(std::span<const word> values, std::size_t base) {
-  WCM_EXPECTS(base + values.size() <= logical_words_, "fill out of bounds");
+  WCM_EXPECTS(base + values.size() <= mem_.size(), "fill out of bounds");
   if (recorder_ != nullptr && !values.empty()) {
     recorder_->on_fill(base, values.size());
   }
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    machine_.poke(layout_.physical(base + i), values[i]);
-  }
+  std::copy(values.begin(), values.end(),
+            mem_.begin() + static_cast<std::ptrdiff_t>(base));
 }
 
 std::vector<word> SharedMemory::dump(std::size_t base,
                                      std::size_t count) const {
-  WCM_EXPECTS(base + count <= logical_words_, "dump out of bounds");
-  std::vector<word> out(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    out[i] = machine_.peek(layout_.physical(base + i));
-  }
-  return out;
+  WCM_EXPECTS(base + count <= mem_.size(), "dump out of bounds");
+  return {mem_.begin() + static_cast<std::ptrdiff_t>(base),
+          mem_.begin() + static_cast<std::ptrdiff_t>(base + count)};
 }
 
 }  // namespace wcm::gpusim

@@ -1,16 +1,18 @@
 #pragma once
-// Banked shared memory for one simulated thread block: a thin, warp-oriented
-// wrapper over the formal DMM machine.  Every warp-wide access is one
-// synchronous DMM step; inactive lanes simply do not submit a request.
-// Conflict statistics accumulate in the underlying dmm::Machine and are
-// read out per kernel by the sort engine.
+// Banked shared memory for one simulated thread block.  Every warp-wide
+// access is one synchronous DMM step: inactive lanes simply do not submit a
+// request, and the step is priced by dmm::analyze_step on the layout's
+// physical addresses.  The words themselves are held at their logical
+// addresses (the layout is a bijection, so only pricing needs physical
+// ones); kernels read values with peek().  Conflict statistics accumulate
+// here and are read out per kernel by the sort engine.
 
-#include <optional>
 #include <span>
 #include <vector>
 
-#include "dmm/machine.hpp"
+#include "dmm/access.hpp"
 #include "gpusim/layout.hpp"
+#include "util/check.hpp"
 #include "util/math.hpp"
 
 namespace wcm::gpusim {
@@ -32,24 +34,26 @@ struct LaneWrite {
 
 class SharedMemory {
  public:
-  /// `words` counts *logical* words; with pad > 0 the backing store is
-  /// correspondingly larger.  All addresses in the public API are logical;
-  /// bank-conflict accounting uses the physical (padded) addresses.
+  /// `words` counts *logical* words.  All addresses in the public API are
+  /// logical; bank-conflict accounting uses the physical (padded)
+  /// addresses.
   SharedMemory(u32 warp_size, std::size_t words, u32 pad = 0);
 
   /// Full layout control (padding and/or a per-row bank permutation, see
   /// gpusim/layout.hpp); the layout's w is the warp size.
   SharedMemory(const SharedLayout& layout, std::size_t words);
 
-  [[nodiscard]] u32 warp_size() const noexcept { return warp_size_; }
-  [[nodiscard]] std::size_t words() const noexcept { return logical_words_; }
+  [[nodiscard]] u32 warp_size() const noexcept { return layout_.w; }
+  [[nodiscard]] std::size_t words() const noexcept { return mem_.size(); }
   [[nodiscard]] const SharedLayout& layout() const noexcept { return layout_; }
 
-  /// One warp-wide load; returns the value read by each request, in request
-  /// order.  Lanes must be distinct.  Accounted as one DMM step.
-  std::vector<word> warp_read(std::span<const LaneRead> reads);
+  /// One warp-wide load, accounted as one DMM step; the lanes' values are
+  /// read with peek().  Lanes must be distinct.
+  void warp_read(std::span<const LaneRead> reads);
 
-  /// One warp-wide store.  Accounted as one DMM step.
+  /// One warp-wide store, accounted as one DMM step.  The values land only
+  /// once the step is priced, so a rejected step (a CREW violation) leaves
+  /// memory unchanged.
   void warp_write(std::span<const LaneWrite> writes);
 
   /// Execution barrier (__syncthreads): free at the machine level, but
@@ -70,16 +74,18 @@ class SharedMemory {
   [[nodiscard]] std::vector<word> dump(std::size_t base,
                                        std::size_t count) const;
   [[nodiscard]] word peek(std::size_t addr) const {
-    return machine_.peek(layout_.physical(addr));
+    WCM_EXPECTS(addr < mem_.size(), "peek out of bounds");
+    return mem_[addr];
   }
   void poke(std::size_t addr, word v) {
-    machine_.poke(layout_.physical(addr), v);
+    WCM_EXPECTS(addr < mem_.size(), "poke out of bounds");
+    mem_[addr] = v;
   }
 
   [[nodiscard]] const dmm::MachineStats& stats() const noexcept {
-    return machine_.stats();
+    return stats_;
   }
-  void reset_stats() noexcept { machine_.reset_stats(); }
+  void reset_stats() noexcept { stats_ = {}; }
 
   /// Attach an access-trace recorder (see gpusim/trace.hpp); nullptr
   /// detaches.  The recorder adopts this memory's warp size and word count
@@ -87,14 +93,17 @@ class SharedMemory {
   void attach_trace(class TraceRecorder* recorder);
 
  private:
-  u32 warp_size_;
+  /// The one warp step: checks every lane, then prices the step on the
+  /// physical addresses and adds its cost to stats().
+  template <class Lane>
+  void price(std::span<const Lane> lanes, dmm::Op op);
+
   SharedLayout layout_;
-  std::size_t logical_words_;
-  dmm::Machine machine_;
+  std::vector<word> mem_;  // indexed by logical address
+  dmm::MachineStats stats_;
   class TraceRecorder* recorder_ = nullptr;
   bool atomic_section_ = false;
   std::vector<dmm::Request> scratch_;  // reused request buffer
-  std::vector<word> scratch_reads_;
 };
 
 }  // namespace wcm::gpusim

@@ -6,13 +6,13 @@
 #include <string>
 #include <vector>
 
-#include "dmm/machine.hpp"
+#include "dmm/access.hpp"
 #include "util/math.hpp"
 
 namespace wcm::gpusim {
 
 struct KernelStats {
-  /// Shared-memory contention totals (from SharedMemory / dmm::Machine).
+  /// Shared-memory contention totals (from SharedMemory::stats()).
   dmm::MachineStats shared;
   /// Subset of `shared`: the lock-step merge reads only (the accesses the
   /// paper's beta_2 and the worst-case construction are about).

@@ -91,45 +91,50 @@ void TraceRecorder::on_fill(std::size_t base, std::size_t count) {
   trace_.steps.push_back(std::move(step));
 }
 
-dmm::MachineStats replay_stats(const Trace& trace,
-                               const SharedLayout& layout) {
+namespace {
+
+/// The one replay loop: price every access step of `trace` under `layout`
+/// and hand each step with its cost to `sink` (barriers and fills are
+/// free: they arrive with a zero cost).
+template <class Sink>
+void replay(const Trace& trace, const SharedLayout& layout, Sink&& sink) {
   WCM_EXPECTS(layout.w == trace.warp_size,
               "layout bank count must match the trace's warp size");
-  dmm::MachineStats stats;
   std::vector<dmm::Request> step;
   for (const auto& s : trace.steps) {
     if (!s.is_access()) {
+      sink(s, dmm::StepCost{});
       continue;
     }
+    const dmm::Op op = s.is_write() ? dmm::Op::write : dmm::Op::read;
     step.clear();
     for (const auto& [lane, addr] : s.accesses) {
-      step.push_back({lane, layout.physical(addr),
-                      s.is_write() ? dmm::Op::write : dmm::Op::read, 0});
+      step.push_back({lane, layout.physical(addr), op, 0});
     }
-    stats += dmm::analyze_step(step, trace.warp_size);
+    sink(s, dmm::analyze_step(step, trace.warp_size));
   }
+}
+
+}  // namespace
+
+dmm::MachineStats replay_stats(const Trace& trace,
+                               const SharedLayout& layout) {
+  dmm::MachineStats stats;
+  replay(trace, layout, [&](const TraceStep& s, const dmm::StepCost& cost) {
+    if (s.is_access()) {
+      stats += cost;
+    }
+  });
   return stats;
 }
 
 std::vector<dmm::StepCost> replay_step_costs(const Trace& trace,
                                              const SharedLayout& layout) {
-  WCM_EXPECTS(layout.w == trace.warp_size,
-              "layout bank count must match the trace's warp size");
   std::vector<dmm::StepCost> costs;
   costs.reserve(trace.steps.size());
-  std::vector<dmm::Request> step;
-  for (const auto& s : trace.steps) {
-    if (!s.is_access()) {
-      costs.emplace_back();  // barriers and fills are free
-      continue;
-    }
-    step.clear();
-    for (const auto& [lane, addr] : s.accesses) {
-      step.push_back({lane, layout.physical(addr),
-                      s.is_write() ? dmm::Op::write : dmm::Op::read, 0});
-    }
-    costs.push_back(dmm::analyze_step(step, trace.warp_size));
-  }
+  replay(trace, layout, [&](const TraceStep&, const dmm::StepCost& cost) {
+    costs.push_back(cost);
+  });
   return costs;
 }
 

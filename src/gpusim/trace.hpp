@@ -23,7 +23,7 @@
 #include <iosfwd>
 #include <vector>
 
-#include "dmm/machine.hpp"
+#include "dmm/access.hpp"
 #include "gpusim/shared_memory.hpp"
 
 namespace wcm::gpusim {
@@ -89,7 +89,7 @@ class TraceRecorder {
   Trace trace_;
 };
 
-/// Replay a trace's access stream through a fresh DMM machine under the
+/// Replay a trace's access stream through dmm::analyze_step under the
 /// given layout and return the contention statistics.  Barrier and fill
 /// markers are free.  Replaying under the layout the trace was recorded
 /// with reproduces the live stats exactly (asserted by tests).

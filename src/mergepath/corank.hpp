@@ -12,7 +12,7 @@
 #include <cstddef>
 #include <span>
 
-#include "dmm/machine.hpp"
+#include "dmm/access.hpp"
 
 namespace wcm::mergepath {
 

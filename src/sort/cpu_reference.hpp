@@ -6,7 +6,7 @@
 #include <span>
 #include <vector>
 
-#include "dmm/machine.hpp"
+#include "dmm/access.hpp"
 
 namespace wcm::sort {
 

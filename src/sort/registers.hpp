@@ -6,7 +6,7 @@
 
 #include <span>
 
-#include "dmm/machine.hpp"
+#include "dmm/access.hpp"
 #include "util/math.hpp"
 
 namespace wcm::sort {

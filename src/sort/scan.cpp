@@ -15,6 +15,10 @@ SortReport block_scan(std::span<const word> input, const SortConfig& cfg,
   WCM_EXPECTS(cfg.E >= 1, "E must be positive");
   WCM_EXPECTS(is_pow2(cfg.b) && cfg.b >= cfg.w,
               "block size must be a power of two >= warp size");
+  // Every phase runs whole warps over the b threads (as the describer
+  // assumes); a partial last warp would publish totals past the tile.
+  WCM_CHECK_CONFIG(cfg.w >= 1 && cfg.b % cfg.w == 0,
+                   "block size must be a multiple of the warp size");
   // Shared layout: the tile at [0, tile), per-thread totals at
   // [tile, tile + b).
   Launch launch({.engine = "scan", .extra_words = cfg.b, .sorts = false},

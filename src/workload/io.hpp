@@ -12,7 +12,7 @@
 #include <filesystem>
 #include <vector>
 
-#include "dmm/machine.hpp"
+#include "dmm/access.hpp"
 
 namespace wcm::workload {
 

@@ -1,22 +1,29 @@
 // Unit tests for the affine stride analyzer (analyze/stride.hpp): the
 // closed-form serialization table for strides 1..32 at w = 32 (the paper's
 // gcd structure), the exact fallback for padded layouts and non-affine
-// steps, and the predicted-vs-measured cross-check against the DMM replay.
+// steps, the predicted-vs-measured cross-check against the DMM replay, and
+// the conflict kernel pinned against both independent oracles.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <numeric>
 #include <utility>
 #include <vector>
 
 #include "analyze/stride.hpp"
+#include "analyze/symbolic/domain.hpp"
+#include "dmm/access.hpp"
 #include "gpusim/shared_memory.hpp"
 #include "gpusim/trace.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace wcm {
 namespace {
 
+using gpusim::LayoutKind;
 using gpusim::SharedLayout;
 using gpusim::StepKind;
 using gpusim::Trace;
@@ -233,6 +240,94 @@ TEST(AnalyzeStride, RecorderCapturedStreamCrossChecks) {
   // An intentionally wrong layout width must be rejected, not mispriced.
   EXPECT_THROW((void)analyze::check_strides(trace, SharedLayout{16, 0}),
                wcm::error);
+}
+
+// ------------------------------------------- the kernel vs both oracles --
+
+/// `steps` random steps of one warp over `words` words: about three lanes
+/// in four active, reads free to share an address, writes never.
+std::vector<TraceStep> random_steps(u32 w, std::size_t words,
+                                    std::size_t steps, Xoshiro256& rng) {
+  std::vector<TraceStep> out;
+  for (std::size_t i = 0; i < steps; ++i) {
+    TraceStep step;
+    step.kind = rng.below(2) == 0 ? StepKind::read : StepKind::write;
+    std::vector<std::size_t> written;
+    for (u32 lane = 0; lane < w; ++lane) {
+      if (rng.below(4) == 0) {
+        continue;
+      }
+      std::size_t addr = rng.below(words);
+      while (step.is_write() &&
+             std::find(written.begin(), written.end(), addr) !=
+                 written.end()) {
+        addr = rng.below(words);
+      }
+      written.push_back(addr);
+      step.accesses.emplace_back(lane, addr);
+    }
+    out.push_back(std::move(step));
+  }
+  return out;
+}
+
+std::array<std::size_t, 5> fields(const dmm::StepCost& c) {
+  return {c.requests, c.serialization, c.replays, c.conflicting_accesses,
+          c.max_bank_degree};
+}
+
+TEST(AnalyzeStride, KernelMatchesBothOraclesOnEveryLayout) {
+  // dmm::analyze_step on the physical addresses must equal the stride
+  // analyzer's prediction field by field, and its worst-bank degree the
+  // symbolic exact_degree of the logical addresses — on random steps and
+  // on the stride-w and stride-E steps the attacks and scans issue.
+  Xoshiro256 rng(20);
+  for (const u32 w : {2u, 3u, 4u, 32u, 64u}) {
+    std::vector<SharedLayout> layouts;
+    for (const u32 pad : {0u, 1u}) {
+      layouts.push_back({w, pad, LayoutKind::linear});
+      layouts.push_back({w, pad, LayoutKind::rotation});
+    }
+    if (is_pow2(w)) {
+      layouts.push_back({w, 0, LayoutKind::xor_swizzle});
+    }
+    auto steps = random_steps(w, std::size_t{4} * w * w, 300, rng);
+    for (const i64 stride : {i64{w}, i64{3}, i64{5}, i64{15}, i64{17}}) {
+      for (const i64 base : {i64{0}, i64{1}, i64{w} + 2}) {
+        steps.push_back(full_warp_read(w, base, stride));
+        steps.push_back(full_warp_read(w, base, stride));
+        steps.back().kind = StepKind::write;
+      }
+    }
+    for (const SharedLayout& layout : layouts) {
+      for (const TraceStep& step : steps) {
+        std::vector<dmm::Request> requests;
+        std::vector<i64> logical;
+        for (const auto& [lane, addr] : step.accesses) {
+          requests.push_back(
+              {lane, layout.physical(addr),
+               step.is_write() ? dmm::Op::write : dmm::Op::read, 0});
+          logical.push_back(static_cast<i64>(addr));
+        }
+        const dmm::StepCost kernel = dmm::analyze_step(requests, w);
+        const auto where = [&] {
+          std::string s = std::string("w ") + std::to_string(w) + " " +
+                          gpusim::to_string(layout.kind) + " pad " +
+                          std::to_string(layout.pad) + " step";
+          for (const auto& [lane, addr] : step.accesses) {
+            s += " " + std::to_string(lane) + ":" + std::to_string(addr);
+          }
+          return s;
+        };
+        EXPECT_EQ(fields(kernel),
+                  fields(analyze::predict_step_cost(step, layout)))
+            << where();
+        EXPECT_EQ(kernel.max_bank_degree,
+                  analyze::symbolic::exact_degree(layout, logical))
+            << where();
+      }
+    }
+  }
 }
 
 }  // namespace

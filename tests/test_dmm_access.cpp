@@ -1,5 +1,5 @@
 // Tests for the DMM step analyzer — the single definition of every conflict
-// metric in the repository.
+// metric in the repository — and the running totals built from its costs.
 
 #include <gtest/gtest.h>
 
@@ -117,8 +117,25 @@ TEST(AnalyzeStep, DistinctWritesAreAllowed) {
 }
 
 TEST(AnalyzeStep, DuplicateProcessorThrows) {
+  // A processor issues one request per step, whatever it requests.
   std::vector<Request> step{{0, 5, Op::read, 0}, {0, 5, Op::read, 0}};
   EXPECT_THROW((void)analyze_step(step, 32), contract_error);
+  const std::vector<Request> same_bank{{0, 5, Op::read, 0},
+                                       {0, 37, Op::read, 0}};
+  EXPECT_THROW((void)analyze_step(same_bank, 32), contract_error);
+  const std::vector<Request> other_bank{{1, 5, Op::read, 0},
+                                        {0, 9, Op::read, 0},
+                                        {1, 6, Op::read, 0}};
+  EXPECT_THROW((void)analyze_step(other_bank, 32), contract_error);
+  const std::vector<Request> two_writes{{3, 5, Op::write, 1},
+                                        {3, 6, Op::write, 2}};
+  EXPECT_THROW((void)analyze_step(two_writes, 32), contract_error);
+  // Ids past 64 (wider than any simulated warp) are checked too.
+  const std::vector<Request> wide{{70, 5, Op::read, 0}, {70, 6, Op::read, 0}};
+  EXPECT_THROW((void)analyze_step(wide, 128), contract_error);
+  const std::vector<Request> wide_ok{{70, 5, Op::read, 0},
+                                     {71, 6, Op::read, 0}};
+  EXPECT_EQ(analyze_step(wide_ok, 128).serialization, 1u);
 }
 
 // Lemma 1 (property over k and w): some set of w distinct addresses within
@@ -153,6 +170,43 @@ TEST(StepCost, Accumulation) {
   EXPECT_EQ(a.replays, 3u);
   EXPECT_EQ(a.conflicting_accesses, 10u);
   EXPECT_EQ(a.max_bank_degree, 3u);
+}
+
+TEST(MachineStats, MergeOfTotals) {
+  MachineStats a;
+  a.steps = 1;
+  a.requests = 2;
+  a.serialization_cycles = 3;
+  a.replays = 1;
+  a.conflicting_accesses = 2;
+  a.max_bank_degree = 2;
+  MachineStats b = a;
+  b.max_bank_degree = 5;
+  a += b;
+  EXPECT_EQ(a.steps, 2u);
+  EXPECT_EQ(a.requests, 4u);
+  EXPECT_EQ(a.serialization_cycles, 6u);
+  EXPECT_EQ(a.max_bank_degree, 5u);
+}
+
+// A phase's share of running totals: counts subtract, the bank degree
+// stays the running maximum read at the phase's end.
+TEST(MachineStats, DifferenceOfTotalsIsThePhasesShare) {
+  const std::vector<Request> spread{{0, 0, Op::read, 0}, {1, 1, Op::read, 0}};
+  const std::vector<Request> clash{{0, 0, Op::read, 0}, {1, 4, Op::read, 0},
+                                   {2, 8, Op::read, 0}};
+  MachineStats m;
+  m += analyze_step(clash, 4);
+  const MachineStats before = m;
+  m += analyze_step(spread, 4);
+  m += analyze_step(spread, 4);
+  const MachineStats phase = m - before;
+  EXPECT_EQ(phase.steps, 2u);
+  EXPECT_EQ(phase.requests, 4u);
+  EXPECT_EQ(phase.serialization_cycles, 2u);
+  EXPECT_EQ(phase.replays, 0u);
+  EXPECT_EQ(phase.conflicting_accesses, 0u);
+  EXPECT_EQ(phase.max_bank_degree, 3u);
 }
 
 TEST(RenderBankMatrix, LayoutAndLabels) {

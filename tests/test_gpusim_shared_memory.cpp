@@ -1,4 +1,5 @@
-// Tests for the banked shared memory wrapper.
+// Tests for the banked shared memory: values at logical addresses, one
+// priced DMM step per warp access, and the bounds and CREW checks.
 
 #include <gtest/gtest.h>
 
@@ -9,13 +10,21 @@ namespace wcm::gpusim {
 namespace {
 
 TEST(SharedMemory, ReadReturnsValues) {
+  // warp_read prices the step; the lanes' values are read with peek(),
+  // and the read leaves them in place.
   SharedMemory shm(32, 64);
   for (std::size_t a = 0; a < 64; ++a) {
     shm.poke(a, static_cast<word>(100 + a));
   }
   const std::vector<LaneRead> reads{{0, 5}, {1, 37}, {2, 5}};
-  const auto vals = shm.warp_read(reads);
+  shm.warp_read(reads);
+  std::vector<word> vals;
+  for (const LaneRead& r : reads) {
+    vals.push_back(shm.peek(r.addr));
+  }
   EXPECT_EQ(vals, (std::vector<word>{105, 137, 105}));
+  EXPECT_EQ(shm.stats().steps, 1u);
+  EXPECT_EQ(shm.stats().requests, 3u);
 }
 
 TEST(SharedMemory, WriteStores) {
@@ -38,21 +47,94 @@ TEST(SharedMemory, ConflictAccounting) {
   EXPECT_EQ(shm.stats().steps, 0u);
 }
 
+TEST(SharedMemory, StatsAccumulateAcrossSteps) {
+  SharedMemory shm(4, 16);
+  const std::vector<LaneRead> conflict{{0, 0}, {1, 4}};
+  const std::vector<LaneWrite> spread{{0, 1, 7}, {1, 2, 8}, {2, 3, 9}};
+  shm.warp_read(conflict);
+  shm.warp_write(spread);
+  shm.warp_read(conflict);
+  EXPECT_EQ(shm.stats().steps, 3u);
+  EXPECT_EQ(shm.stats().requests, 7u);
+  EXPECT_EQ(shm.stats().serialization_cycles, 5u);
+  EXPECT_EQ(shm.stats().replays, 2u);
+  EXPECT_EQ(shm.stats().conflicting_accesses, 4u);
+  EXPECT_EQ(shm.stats().max_bank_degree, 2u);
+}
+
 TEST(SharedMemory, InactiveLanesAllowed) {
   SharedMemory shm(32, 64);
   const std::vector<LaneRead> reads{{7, 0}};  // one active lane
-  EXPECT_EQ(shm.warp_read(reads).size(), 1u);
+  shm.warp_read(reads);
+  EXPECT_EQ(shm.stats().requests, 1u);
 }
 
 TEST(SharedMemory, RejectsBadLanes) {
   SharedMemory shm(32, 64);
   const std::vector<LaneRead> reads{{32, 0}};
-  EXPECT_THROW((void)shm.warp_read(reads), contract_error);
+  EXPECT_THROW(shm.warp_read(reads), contract_error);
   std::vector<LaneRead> too_many(33);
   for (u32 i = 0; i < 33; ++i) {
     too_many[i] = {i, i};
   }
-  EXPECT_THROW((void)shm.warp_read(too_many), contract_error);
+  EXPECT_THROW(shm.warp_read(too_many), contract_error);
+  // One lane, two requests: rejected whether they share a bank or not,
+  // before anything is counted or stored.
+  EXPECT_THROW(shm.warp_read(std::vector<LaneRead>{{0, 5}, {0, 37}}),
+               contract_error);
+  EXPECT_THROW(shm.warp_read(std::vector<LaneRead>{{0, 5}, {0, 6}}),
+               contract_error);
+  EXPECT_THROW(shm.warp_write(std::vector<LaneWrite>{{2, 5, 1}, {2, 6, 2}}),
+               contract_error);
+  EXPECT_EQ(shm.stats().steps, 0u);
+  EXPECT_EQ(shm.peek(5), 0);
+  EXPECT_EQ(shm.peek(6), 0);
+}
+
+TEST(SharedMemory, RejectsOutOfRangeRequests) {
+  SharedMemory shm(4, 16);
+  EXPECT_THROW(shm.warp_read(std::vector<LaneRead>{{4, 0}}),
+               simulation_error);
+  EXPECT_THROW(shm.warp_read(std::vector<LaneRead>{{0, 16}}),
+               simulation_error);
+  EXPECT_THROW(shm.warp_write(std::vector<LaneWrite>{{0, 16, 1}}),
+               simulation_error);
+  EXPECT_EQ(shm.stats().steps, 0u);
+}
+
+TEST(SharedMemory, CrewViolationDoesNotCorruptMemory) {
+  SharedMemory shm(4, 16);
+  shm.poke(5, 1);
+  const std::vector<LaneWrite> bad{{0, 5, 2}, {1, 5, 3}};
+  EXPECT_THROW(shm.warp_write(bad), contract_error);
+  EXPECT_EQ(shm.peek(5), 1);  // the step was rejected before any store
+  EXPECT_EQ(shm.stats().steps, 0u);
+}
+
+TEST(SharedMemory, HostAccessIsBoundedByLogicalWords) {
+  // Under a permuted layout the tile's last row is partial but occupies a
+  // full physical row, so some addresses past the tile have a physical
+  // word; host access still stops at the logical size.
+  for (const SharedLayout& layout :
+       {SharedLayout{8, 0}, SharedLayout{4, 1},
+        SharedLayout{4, 0, LayoutKind::rotation},
+        SharedLayout{4, 1, LayoutKind::xor_swizzle}}) {
+    SharedMemory shm(layout, 6);
+    shm.poke(5, 42);
+    EXPECT_EQ(shm.peek(5), 42);
+    const std::vector<word> vals{1, 2, 3};
+    shm.fill(vals, 3);
+    EXPECT_EQ(shm.dump(3, 3), vals);
+    for (const std::size_t addr : {6u, 7u}) {
+      if (layout.kind != LayoutKind::linear) {
+        EXPECT_LT(layout.physical(addr), layout.physical_words(6)) << addr;
+      }
+      EXPECT_THROW((void)shm.peek(addr), contract_error) << addr;
+      EXPECT_THROW(shm.poke(addr, 0), contract_error) << addr;
+    }
+    EXPECT_THROW(shm.fill(vals, 4), contract_error);
+    EXPECT_THROW((void)shm.dump(4, 3), contract_error);
+  }
 }
 
 TEST(SharedMemory, NonPow2WarpAllowedExceptUnderXor) {
@@ -61,8 +143,10 @@ TEST(SharedMemory, NonPow2WarpAllowedExceptUnderXor) {
   // this); the xor permutation is only bijective for a power of two.
   SharedMemory shm(31, 62);
   shm.poke(33, 7);
-  const std::vector<LaneRead> reads{{0, 33}};
-  EXPECT_EQ(shm.warp_read(reads), std::vector<word>{7});
+  const std::vector<LaneRead> reads{{0, 33}, {1, 2}};
+  shm.warp_read(reads);  // bank 2 twice: 33 = 31 + 2
+  EXPECT_EQ(shm.stats().replays, 1u);
+  EXPECT_EQ(shm.peek(33), 7);
   EXPECT_THROW(
       SharedMemory(SharedLayout{31, 0, LayoutKind::xor_swizzle}, 62),
       contract_error);

@@ -1,6 +1,6 @@
 // Cross-configuration property sweeps: the attack's exactness for *every*
 // co-prime E at several block sizes (TEST_P grid), and an independent
-// cross-check of the warp evaluator against a raw DMM replay.
+// cross-check of the warp evaluator against a shared-memory replay.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +8,7 @@
 
 #include "core/conflict_model.hpp"
 #include "core/generator.hpp"
-#include "dmm/machine.hpp"
+#include "gpusim/shared_memory.hpp"
 #include "sort/pairwise_sort.hpp"
 #include "workload/inputs.hpp"
 
@@ -97,8 +97,8 @@ INSTANTIATE_TEST_SUITE_P(AllConfigs, AttackGrid, ::testing::ValuesIn(grid()),
                          });
 
 // Independent cross-check: replay a constructed warp's access schedule
-// directly through a raw dmm::Machine and compare every statistic with the
-// evaluator's totals.
+// through the simulator's shared memory (linear layout) and compare every
+// statistic with the evaluator's totals.
 TEST(EvaluatorCrossCheck, MatchesRawDmmReplay) {
   for (const u32 e : {5u, 7u, 15u, 17u, 31u}) {
     const u32 w = 32;
@@ -108,7 +108,7 @@ TEST(EvaluatorCrossCheck, MatchesRawDmmReplay) {
 
     // Rebuild the address schedule exactly as the evaluator defines it.
     const std::size_t b_base = ceil_div(wa.total_a(), w) * w;
-    dmm::Machine machine(w, b_base + wa.total_b());
+    gpusim::SharedMemory shm(w, b_base + wa.total_b());
     std::vector<std::vector<std::size_t>> addrs(w);
     std::size_t ca = 0, cb = b_base;
     for (u32 t = 0; t < w; ++t) {
@@ -128,18 +128,17 @@ TEST(EvaluatorCrossCheck, MatchesRawDmmReplay) {
       }
     }
     for (u32 j = 0; j < e; ++j) {
-      std::vector<dmm::Request> step;
+      std::vector<gpusim::LaneRead> step;
       for (u32 t = 0; t < w; ++t) {
-        step.push_back({t, addrs[t][j], dmm::Op::read, 0});
+        step.push_back({t, addrs[t][j]});
       }
-      machine.step(step, nullptr);
+      shm.warp_read(step);
     }
 
-    EXPECT_EQ(machine.stats().serialization_cycles,
-              eval.totals.serialization)
+    EXPECT_EQ(shm.stats().serialization_cycles, eval.totals.serialization)
         << "E=" << e;
-    EXPECT_EQ(machine.stats().replays, eval.totals.replays) << "E=" << e;
-    EXPECT_EQ(machine.stats().conflicting_accesses,
+    EXPECT_EQ(shm.stats().replays, eval.totals.replays) << "E=" << e;
+    EXPECT_EQ(shm.stats().conflicting_accesses,
               eval.totals.conflicting_accesses)
         << "E=" << e;
   }

@@ -77,6 +77,15 @@ TEST(BlockScan, SingleTileAndContracts) {
                contract_error);
 }
 
+// Every phase runs whole warps, so a partial last warp is refused up front
+// rather than failing mid-simulation.
+TEST(BlockScan, PartialLastWarpIsAConfigError) {
+  const SortConfig cfg{5, 8, 3};
+  const auto input = workload::random_permutation(cfg.tile(), 1);
+  EXPECT_THROW((void)block_scan(input, cfg, gpusim::synthetic_device(3)),
+               config_error);
+}
+
 // The Dotsenko law: the scan's conflicts are data-independent and scale
 // with gcd(E, w).
 TEST(BlockScan, ConflictsScaleWithGcd) {
