@@ -6,6 +6,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <array>
+#include <vector>
+
 #include "core/generator.hpp"
 #include "core/warp_construction.hpp"
 #include "dmm/access.hpp"
@@ -61,16 +64,27 @@ void BM_MergePathPartition(benchmark::State& state) {
 BENCHMARK(BM_MergePathPartition)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
 
 void BM_DmmAnalyzeStep(benchmark::State& state) {
-  // A 32-lane step with a mid-grade conflict pattern.
+  // One 32-lane read step on 32 banks per pattern: 0 conflict-free (lane l
+  // in bank l), 1 a 2-address broadcast (16 lanes each on addresses 0 and
+  // 1), 2 8-way (8 columns in each of banks 0..3), 3 32-way (32 columns
+  // of bank 0).
+  const auto pattern = state.range(0);
   std::vector<dmm::Request> step;
   for (std::size_t lane = 0; lane < 32; ++lane) {
-    step.push_back({lane, (lane % 8) * 32 + lane, dmm::Op::read, 0});
+    const std::size_t addr = pattern == 0   ? lane
+                             : pattern == 1 ? lane % 2
+                             : pattern == 2 ? (lane / 4) * 32 + lane % 4
+                                            : lane * 32;
+    step.push_back({lane, addr, dmm::Op::read, 0});
   }
+  const std::array<const char*, 4> names{"conflict-free", "broadcast",
+                                         "8-way", "32-way"};
+  state.SetLabel(names.at(static_cast<std::size_t>(pattern)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(dmm::analyze_step(step, 32));
   }
 }
-BENCHMARK(BM_DmmAnalyzeStep);
+BENCHMARK(BM_DmmAnalyzeStep)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 
 void BM_SimulatedSort(benchmark::State& state) {
   const sort::SortConfig cfg{5, 64, 32};

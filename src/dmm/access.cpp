@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <vector>
 
-#include "dmm/bank_matrix.hpp"
 #include "util/check.hpp"
 
 namespace wcm::dmm {
@@ -50,6 +51,10 @@ MachineStats MachineStats::operator-(
 
 namespace {
 
+/// Requests and banks the sort-free pass handles: one bit per bank in a
+/// u64, one u8 index per request.
+constexpr std::size_t kMaskWidth = 64;
+
 /// Throws unless every processor id in `step` is distinct: a bitmask for
 /// ids below 64 (every simulated warp), a sorted copy when any id is wider.
 void expect_distinct_procs(std::span<const Request> step) {
@@ -75,48 +80,106 @@ void expect_distinct_procs(std::span<const Request> step) {
   }
 }
 
-}  // namespace
+/// The sort-free pass for a step of at most 64 requests on at most 64
+/// banks; `bank(addr)` is addr mod w.  One pass sets each request's bank
+/// bit in a u64 occupancy mask and its processor bit in another.  A
+/// request whose bank is already occupied walks that bank's chain of
+/// distinct addresses: a repeated address is a broadcast read or a CREW
+/// violation, a new one joins the chain.  The chains, and per bank the
+/// request and distinct-address counts, live in stack arrays indexed by
+/// bank or by request.  Errors are reported after the pass, a repeated
+/// processor id first.
+template <class BankOf>
+StepCost price_by_bank_chains(std::span<const Request> step, BankOf bank) {
+  constexpr std::uint8_t kEnd = 0xff;
+  std::array<std::uint8_t, kMaskWidth> head{};      // per bank
+  std::array<std::uint8_t, kMaskWidth> next{};      // per request
+  std::array<std::uint8_t, kMaskWidth> requests{};  // per bank
+  std::array<std::uint8_t, kMaskWidth> distinct{};  // per bank
+  std::uint64_t occupied = 0;
+  std::uint64_t procs = 0;
+  bool odd_proc = false;  // a repeated id, or one past the mask
+  bool shared = false;
+  bool crew = true;
+  for (std::size_t i = 0; i < step.size(); ++i) {
+    const std::size_t p = step[i].proc;
+    const std::uint64_t pbit = p < 64 ? std::uint64_t{1} << p : 0;
+    odd_proc = odd_proc || pbit == 0 || (procs & pbit) != 0;
+    procs |= pbit;
+    const std::size_t b = bank(step[i].addr);
+    const std::uint64_t bit = std::uint64_t{1} << b;
+    const auto self = static_cast<std::uint8_t>(i);
+    if ((occupied & bit) == 0) {
+      occupied |= bit;
+      head[b] = self;
+      next[i] = kEnd;
+      requests[b] = 1;
+      distinct[b] = 1;
+      continue;
+    }
+    shared = true;
+    ++requests[b];
+    std::uint8_t j = head[b];
+    while (j != kEnd && step[j].addr != step[i].addr) {
+      j = next[j];
+    }
+    if (j != kEnd) {
+      crew = crew && step[i].op == Op::read && step[j].op == Op::read;
+      continue;
+    }
+    next[i] = head[b];
+    head[b] = self;
+    ++distinct[b];
+  }
 
-StepCost analyze_step(std::span<const Request> step, std::size_t num_banks) {
-  WCM_EXPECTS(num_banks > 0, "bank count must be positive");
+  if (odd_proc) {
+    expect_distinct_procs(step);
+  }
+  WCM_EXPECTS(crew, "CREW violation: concurrent access to a written address");
+  // Distinct banks: one cycle, nothing replayed, nothing conflicting.
+  StepCost cost{step.size(), 1, 0, 0, 1};
+  if (!shared) {
+    return cost;
+  }
+  for (std::uint64_t m = occupied; m != 0; m &= m - 1) {
+    const auto b = static_cast<std::size_t>(std::countr_zero(m));
+    const std::size_t degree = distinct[b];
+    cost.max_bank_degree = std::max(cost.max_bank_degree, degree);
+    if (degree >= 2) {
+      cost.conflicting_accesses += requests[b];
+    }
+  }
+  cost.serialization = cost.max_bank_degree;
+  cost.replays = cost.max_bank_degree - 1;
+  return cost;
+}
+
+/// Steps wider than 64 requests or 64 banks (only direct callers make
+/// them): sort (bank, addr) pairs, each bank computed once, and count the
+/// distinct addresses of each bank, and CREW violations, in one scan.
+StepCost price_by_sorting(std::span<const Request> step,
+                          std::size_t num_banks) {
+  struct Keyed {
+    std::size_t bank;
+    std::size_t addr;
+    Op op;
+  };
+  std::vector<Keyed> sorted;
+  sorted.reserve(step.size());
+  for (const Request& r : step) {
+    sorted.push_back({r.addr % num_banks, r.addr, r.op});
+  }
+  std::sort(sorted.begin(), sorted.end(), [](const Keyed& a, const Keyed& b) {
+    return a.bank != b.bank ? a.bank < b.bank : a.addr < b.addr;
+  });
 
   StepCost cost;
   cost.requests = step.size();
-  if (step.empty()) {
-    return cost;
-  }
-  expect_distinct_procs(step);
-
-  // Sort a copy by (bank, addr) so distinct addresses per bank — and CREW
-  // violations — can be found with one linear scan.  Steps are at most one
-  // warp wide; a stack buffer keeps this allocation-free on the hot path.
-  constexpr std::size_t kStackLanes = 64;
-  std::array<Request, kStackLanes> stack_buf;
-  std::vector<Request> heap_buf;
-  std::span<Request> sorted;
-  if (step.size() <= kStackLanes) {
-    std::copy(step.begin(), step.end(), stack_buf.begin());
-    sorted = {stack_buf.data(), step.size()};
-  } else {
-    heap_buf.assign(step.begin(), step.end());
-    sorted = heap_buf;
-  }
-  std::sort(sorted.begin(), sorted.end(),
-            [num_banks](const Request& a, const Request& b) {
-              const std::size_t ba = bank_of(a.addr, num_banks);
-              const std::size_t bb = bank_of(b.addr, num_banks);
-              if (ba != bb) {
-                return ba < bb;
-              }
-              return a.addr < b.addr;
-            });
-
   std::size_t i = 0;
   while (i < sorted.size()) {
-    const std::size_t bank = bank_of(sorted[i].addr, num_banks);
     std::size_t bank_end = i;
     while (bank_end < sorted.size() &&
-           bank_of(sorted[bank_end].addr, num_banks) == bank) {
+           sorted[bank_end].bank == sorted[i].bank) {
       ++bank_end;
     }
 
@@ -143,10 +206,29 @@ StepCost analyze_step(std::span<const Request> step, std::size_t num_banks) {
     }
     i = bank_end;
   }
-
   cost.serialization = cost.max_bank_degree;
-  cost.replays = cost.max_bank_degree > 0 ? cost.max_bank_degree - 1 : 0;
+  cost.replays = cost.max_bank_degree - 1;
   return cost;
+}
+
+}  // namespace
+
+StepCost analyze_step(std::span<const Request> step, std::size_t num_banks) {
+  WCM_EXPECTS(num_banks > 0, "bank count must be positive");
+  if (step.empty()) {
+    return StepCost{};
+  }
+  if (step.size() > kMaskWidth || num_banks > kMaskWidth) {
+    expect_distinct_procs(step);
+    return price_by_sorting(step, num_banks);
+  }
+  if (std::has_single_bit(num_banks)) {
+    const std::size_t mask = num_banks - 1;
+    return price_by_bank_chains(
+        step, [mask](std::size_t addr) { return addr & mask; });
+  }
+  return price_by_bank_chains(
+      step, [num_banks](std::size_t addr) { return addr % num_banks; });
 }
 
 }  // namespace wcm::dmm

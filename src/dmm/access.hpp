@@ -20,6 +20,16 @@
 // throw; concurrent reads are allowed (and broadcast for free).  A
 // processor issues at most one request per step.
 //
+// How a step is priced.  Every step the simulator makes (at most 64
+// requests on at most 64 banks) takes one sort-free pass: each request's
+// bank is computed once (a mask when w is a power of two) and set in a u64
+// occupancy mask.  When no bank is shared the step costs one cycle and
+// returns at once (distinct banks cannot break CREW).  Otherwise each
+// request joins its bank's chain of distinct addresses unless it repeats
+// one (a broadcast read, or a CREW violation), and a walk over the
+// occupied banks reads off the costs.  Wider steps, which only direct
+// callers make, sort (bank, addr) pairs and count them in one scan.
+//
 // MachineStats sums StepCosts over a run of steps; gpusim::SharedMemory
 // keeps one per simulated block, and trace replay builds one offline.
 

@@ -25,10 +25,10 @@ SharedMemory::SharedMemory(const SharedLayout& layout, std::size_t words)
 }
 
 void SharedMemory::attach_trace(TraceRecorder* recorder) {
-  recorder_ = recorder;
-  if (recorder_ != nullptr) {
-    recorder_->on_attach(layout_.w, mem_.size());
+  if (recorder != nullptr) {
+    recorder->on_attach(layout_.w, mem_.size());
   }
+  recorder_ = recorder;
 }
 
 void SharedMemory::barrier() {

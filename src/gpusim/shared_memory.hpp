@@ -89,7 +89,8 @@ class SharedMemory {
 
   /// Attach an access-trace recorder (see gpusim/trace.hpp); nullptr
   /// detaches.  The recorder adopts this memory's warp size and word count
-  /// and must outlive its attachment.
+  /// and must outlive its attachment.  A trace holds at most 64 lanes: a
+  /// wider memory throws wcm::config_error and stays unattached.
   void attach_trace(class TraceRecorder* recorder);
 
  private:

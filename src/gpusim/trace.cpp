@@ -45,6 +45,9 @@ std::size_t Trace::barrier_count() const noexcept {
 }
 
 void TraceRecorder::on_attach(u32 warp_size, std::size_t logical_words) {
+  // The trace format and TraceStep::active_mask hold at most 64 lanes.
+  WCM_CHECK_CONFIG(warp_size >= 1 && warp_size <= 64,
+                   "trace warp size must be in 1..64");
   if (trace_.steps.empty()) {
     trace_.warp_size = warp_size;
     trace_.logical_words = logical_words;

@@ -74,7 +74,9 @@ class TraceRecorder {
   explicit TraceRecorder(u32 warp_size) { trace_.warp_size = warp_size; }
 
   /// Called by SharedMemory::attach_trace: adopts the memory's geometry
-  /// (and insists on a consistent one once steps were recorded).
+  /// (and insists on a consistent one once steps were recorded).  Throws
+  /// wcm::config_error for a warp size outside 1..64, the lanes a trace
+  /// step can hold.
   void on_attach(u32 warp_size, std::size_t logical_words);
 
   void on_read(std::span<const LaneRead> reads, bool atomic = false);

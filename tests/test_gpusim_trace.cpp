@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "gpusim/trace.hpp"
 #include "sort/blocksort.hpp"
@@ -62,6 +63,32 @@ TEST(Trace, AttachAdoptsGeometryAndRecordsMarkers) {
   EXPECT_EQ(t.barrier_count(), 1u);
   EXPECT_EQ(t.access_steps(), 3u);
   EXPECT_EQ(t.steps[4].active_mask(), u64{1} << 1);
+}
+
+// A trace holds at most 64 lanes per step: a wider memory refuses the
+// recorder up front and keeps running untraced.
+TEST(Trace, RecorderRefusesWarpsWiderThan64Lanes) {
+  SharedMemory shm(128, 256);
+  TraceRecorder rec;
+  try {
+    shm.attach_trace(&rec);
+    FAIL() << "a 128-lane memory accepted a trace recorder";
+  } catch (const config_error& e) {
+    EXPECT_NE(std::string(e.what()).find("trace warp size must be in 1..64"),
+              std::string::npos)
+        << e.what();
+  }
+  std::vector<LaneRead> reads;
+  for (u32 lane = 0; lane < 128; ++lane) {
+    reads.push_back({lane, lane});
+  }
+  shm.warp_read(reads);
+  EXPECT_TRUE(rec.trace().steps.empty());
+  EXPECT_EQ(shm.stats().steps, 1u);
+
+  SharedMemory shm64(64, 128);
+  shm64.attach_trace(&rec);
+  EXPECT_EQ(rec.trace().warp_size, 64u);
 }
 
 TEST(Trace, ReplayReproducesLiveStats) {
