@@ -24,15 +24,6 @@ namespace wcm::analyze::passes {
 
 namespace {
 
-std::string render_hex(u64 v) {
-  std::ostringstream os;
-  os << std::hex;
-  os.width(16);
-  os.fill('0');
-  os << v;
-  return os.str();
-}
-
 const char* regime_name(core::ERegime r) {
   switch (r) {
     case core::ERegime::power_of_two:
@@ -366,12 +357,12 @@ void render_text(std::ostream& os, const VerifyReport& report) {
   }
   os << (report.proved && report.differential_ok ? "verified"
                                                  : "NOT verified")
-     << " [digest fnv1a:" << render_hex(report.digest) << "]\n";
+     << " [digest fnv1a:" << hex16(report.digest) << "]\n";
 }
 
 void render_json(std::ostream& os, const VerifyReport& report) {
   os << json_body(report) << ",\"digest\":\"fnv1a:"
-     << render_hex(report.digest) << "\"}\n";
+     << hex16(report.digest) << "\"}\n";
 }
 
 }  // namespace wcm::analyze::passes

@@ -141,15 +141,6 @@ void append_counterexample(std::vector<CertCounterexample>& out,
   out.push_back(std::move(ce));
 }
 
-std::string render_hex(u64 v) {
-  std::ostringstream os;
-  os << std::hex;
-  os.width(16);
-  os.fill('0');
-  os << v;
-  return os.str();
-}
-
 /// Deterministic JSON body (integers and strings only), hashed into the
 /// certificate digest; the digest field itself is appended by render_json.
 std::string json_body(const Certificate& cert) {
@@ -322,11 +313,11 @@ void render_text(std::ostream& os, const Certificate& cert) {
     os << "\n";
   }
   os << "verdict: " << (cert.certified ? "certified" : "refuted")
-     << " [digest fnv1a:" << render_hex(cert.digest) << "]\n";
+     << " [digest fnv1a:" << hex16(cert.digest) << "]\n";
 }
 
 void render_json(std::ostream& os, const Certificate& cert) {
-  os << json_body(cert) << ",\"digest\":\"fnv1a:" << render_hex(cert.digest)
+  os << json_body(cert) << ",\"digest\":\"fnv1a:" << hex16(cert.digest)
      << "\"}\n";
 }
 

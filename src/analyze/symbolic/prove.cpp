@@ -64,15 +64,6 @@ void apply_e_range(ir::KernelDesc& desc, const ProveOptions& opts) {
   }
 }
 
-std::string render_hex(u64 v) {
-  std::ostringstream os;
-  os << std::hex;
-  os.width(16);
-  os.fill('0');
-  os << v;
-  return os.str();
-}
-
 /// The JSON body everything hashes and renders: deterministic, integers
 /// and strings only (no floats), no digest field.
 std::string json_body(const ProveReport& report) {
@@ -281,12 +272,12 @@ void render_text(std::ostream& os, const ProveReport& report) {
   os << (report.findings.empty() ? "clean" : "findings: ")
      << (report.findings.empty() ? std::string()
                                  : std::to_string(report.findings.size()))
-     << " [digest fnv1a:" << render_hex(report.digest) << "]\n";
+     << " [digest fnv1a:" << hex16(report.digest) << "]\n";
 }
 
 void render_json(std::ostream& os, const ProveReport& report) {
   os << json_body(report) << ",\"digest\":\"fnv1a:"
-     << render_hex(report.digest) << "\"}\n";
+     << hex16(report.digest) << "\"}\n";
 }
 
 void append_findings(ProveReport& report, std::vector<Diagnostic> findings) {

@@ -70,18 +70,6 @@ struct SharedLayout {
   [[nodiscard]] u32 bank(std::size_t logical) const noexcept {
     return static_cast<u32>(physical(logical) % w);
   }
-
-  /// Physical words needed to hold `logical_words` logical words.
-  [[nodiscard]] std::size_t physical_words(
-      std::size_t logical_words) const noexcept {
-    if (logical_words == 0) {
-      return 0;
-    }
-    if (kind == LayoutKind::linear) {
-      return physical(logical_words - 1) + 1;
-    }
-    return ((logical_words - 1) / w + 1) * (w + pad);
-  }
 };
 
 [[nodiscard]] const char* to_string(LayoutKind kind) noexcept;

@@ -15,6 +15,7 @@
 #include "runtime/journal.hpp"
 #include "runtime/scheduler.hpp"
 #include "runtime/thread_pool.hpp"
+#include "telemetry/registry.hpp"
 #include "telemetry/span.hpp"
 #include "telemetry/stopwatch.hpp"
 #include "util/check.hpp"
@@ -549,15 +550,16 @@ CampaignOutcome run_campaign(const CampaignSpec& spec,
     }
   }
 
-  JobGraph graph;
+  std::vector<Job> jobs;
+  jobs.reserve(misses.size());
   // A campaign submitted through wcmd runs under that request's trace
   // context; hand it to every cell so the per-cell spans stay in the
   // request's causal tree across the second thread hop.
   const telemetry::TraceContext campaign_trace =
       telemetry::current_trace_context();
   for (const std::size_t idx : misses) {
-    graph.add(
-        [&, idx](JobContext&) {
+    jobs.push_back(Job{
+        [&, idx] {
           WCM_SPAN("campaign.cell");
           gpusim::TraceRecorder recorder;
           gpusim::TraceRecorder* sink =
@@ -601,19 +603,18 @@ CampaignOutcome run_campaign(const CampaignSpec& spec,
             cancel->cancel();  // chaos: drain as if a signal arrived
           }
         },
-        JobOptions{{}, {}, runs[idx].cell.label, campaign_trace});
+        runs[idx].cell.label, campaign_trace});
   }
 
   RunOptions run_opts;
   run_opts.threads = threads;
   run_opts.fail_fast = options.fail_fast;
-  run_opts.quarantine = !options.fail_fast;
   run_opts.retry = options.retry;
   if (run_opts.retry.seed == 0) {
     run_opts.retry.seed = spec.seed;
   }
   run_opts.cancel = cancel;
-  const RunReport report = run(graph, run_opts);
+  const RunReport report = run(jobs, run_opts);
 
   // Persist whatever was computed before surfacing any failure: a partial
   // cache makes the retry cheaper.  A failed store costs only the speedup.
@@ -635,14 +636,14 @@ CampaignOutcome run_campaign(const CampaignSpec& spec,
         ++outcome.computed;
         break;
       case JobState::failed:
-      case JobState::quarantined:
-      case JobState::skipped_quarantined:
         outcome.quarantined.push_back(
             {misses[j], runs[misses[j]].cell.label, o.code, o.message,
              o.attempts});
+        if (telemetry::enabled()) {
+          telemetry::registry().counter("runtime.quarantine.jobs").add(1);
+        }
         break;
       case JobState::skipped_cancelled:
-      case JobState::skipped_dep_failed:
         ++outcome.cancelled;
         break;
     }

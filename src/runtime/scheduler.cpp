@@ -1,5 +1,6 @@
 #include "runtime/scheduler.hpp"
 
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <thread>
@@ -11,48 +12,6 @@
 #include "util/failpoint.hpp"
 
 namespace wcm::runtime {
-
-const char* to_string(JobState state) noexcept {
-  switch (state) {
-    case JobState::done:
-      return "done";
-    case JobState::failed:
-      return "failed";
-    case JobState::quarantined:
-      return "quarantined";
-    case JobState::skipped_cancelled:
-      return "skipped-cancelled";
-    case JobState::skipped_dep_failed:
-      return "skipped-dep-failed";
-    case JobState::skipped_quarantined:
-      return "skipped-quarantined";
-  }
-  return "?";
-}
-
-void JobContext::check_cancelled() const {
-  if (cancelled()) {
-    throw simulation_error("job cancelled",
-                           "job " + std::to_string(id_));
-  }
-}
-
-void JobContext::check_deadline() const {
-  if (deadline_exceeded()) {
-    throw simulation_error("job exceeded its deadline",
-                           "job " + std::to_string(id_));
-  }
-}
-
-JobId JobGraph::add(std::function<void(JobContext&)> fn, JobOptions opts) {
-  WCM_EXPECTS(fn != nullptr, "cannot add an empty job");
-  const JobId id = jobs_.size();
-  for (const JobId dep : opts.deps) {
-    WCM_EXPECTS(dep < id, "job dependencies must reference earlier jobs");
-  }
-  jobs_.push_back(Job{std::move(fn), std::move(opts)});
-  return id;
-}
 
 bool RunReport::ok() const noexcept {
   for (const auto& o : outcomes) {
@@ -73,7 +32,7 @@ std::size_t RunReport::count(JobState state) const noexcept {
 
 void RunReport::rethrow_first_error() const {
   for (const auto& o : outcomes) {
-    if (o.state != JobState::failed && o.state != JobState::quarantined) {
+    if (o.state != JobState::failed) {
       continue;
     }
     if (o.error) {
@@ -83,115 +42,69 @@ void RunReport::rethrow_first_error() const {
   }
 }
 
-/// Shared state of one run(); jobs touch it only under `mu` (the outcome
-/// slots are written by exactly one worker each, but the dependency
-/// counters and completion bookkeeping need the lock anyway).
-struct RunState {
-  explicit RunState(const JobGraph& g) : graph(g) {}
+namespace {
 
-  const JobGraph& graph;
+/// Shared state of one run(): the outcomes, the terminal count and the
+/// cancel check go under `mu`.
+struct RunState {
+  RunState(std::span<const Job> j, const RunOptions& o) : jobs(j), opts(o) {}
+
+  std::span<const Job> jobs;
+  const RunOptions& opts;
   std::mutex mu;
   std::condition_variable done_cv;
   std::vector<JobOutcome> outcomes;
-  std::vector<std::size_t> pending_deps;
-  std::vector<std::vector<JobId>> dependents;
   /// Body executions per job; only the single worker currently running the
   /// job touches its slot (retry resubmission orders through the pool).
   std::vector<u32> attempts;
   std::size_t terminal = 0;
   bool fail_fast_tripped = false;
-  CancelSource* external_cancel = nullptr;
-  bool fail_fast = false;
-  bool quarantine = false;
-  RetryPolicy retry;
-  std::chrono::steady_clock::time_point start;
   ThreadPool* pool = nullptr;
 
   [[nodiscard]] bool cancelled() const noexcept {
     return fail_fast_tripped ||
-           (external_cancel != nullptr && external_cancel->cancelled());
+           (opts.cancel != nullptr && opts.cancel->cancelled());
   }
 
-  /// Record `id` reaching a terminal state and hand newly-ready dependents
-  /// to the pool.  Called with `mu` held by the finishing worker (or the
-  /// submitter, for roots).
-  void finish_locked(JobId id, JobOutcome outcome) {
-    outcomes[id] = std::move(outcome);
-    if (fail_fast && outcomes[id].state == JobState::failed) {
+  /// Record job `i` reaching a terminal state.  Called with `mu` held.
+  void finish_locked(std::size_t i, JobOutcome outcome) {
+    outcomes[i] = std::move(outcome);
+    if (opts.fail_fast && outcomes[i].state == JobState::failed) {
       fail_fast_tripped = true;
     }
     ++terminal;
     if (telemetry::enabled()) {
       telemetry::registry()
           .gauge("runtime.scheduler.queue.depth")
-          .set(static_cast<double>(graph.jobs_.size() - terminal));
+          .set(static_cast<double>(jobs.size() - terminal));
     }
-    if (terminal == graph.jobs_.size()) {
+    if (terminal == jobs.size()) {
       done_cv.notify_all();
-    }
-    for (const JobId next : dependents[id]) {
-      if (--pending_deps[next] == 0) {
-        pool->submit([this, next] { execute(next); });
-      }
     }
   }
 
-  void execute(JobId id) {
+  void execute(std::size_t i) {
+    const Job& job = jobs[i];
     // Install the job's request context before the span opens, so
     // "scheduler.job" and everything nested under it (kernel rounds
     // included) carry the originating request's trace_id on this worker.
-    const telemetry::ScopedTraceContext trace_scope(
-        graph.jobs_[id].opts.trace);
+    const telemetry::ScopedTraceContext trace_scope(job.trace);
     WCM_SPAN("scheduler.job");
-    const auto& job = graph.jobs_[id];
     JobOutcome outcome;
-
-    // Terminal-dependency and cancellation checks: a job only runs when
-    // every dependency finished `done` and the run is still live.
-    bool runnable = true;
+    bool live = true;
     {
       const std::lock_guard<std::mutex> lock(mu);
-      for (const JobId dep : job.opts.deps) {
-        const JobState dep_state = outcomes[dep].state;
-        if (dep_state != JobState::done) {
-          outcome.state = (dep_state == JobState::quarantined ||
-                           dep_state == JobState::skipped_quarantined)
-                              ? JobState::skipped_quarantined
-                              : JobState::skipped_dep_failed;
-          outcome.message = "dependency " + std::to_string(dep) + " " +
-                            std::string(to_string(dep_state));
-          runnable = false;
-          break;
-        }
-      }
-      if (runnable && cancelled()) {
-        outcome.state = JobState::skipped_cancelled;
-        runnable = false;
-      }
+      live = !cancelled();
     }
 
-    if (runnable) {
-      const bool has_deadline =
-          job.opts.timeout != std::chrono::steady_clock::duration{0};
-      const auto deadline = start + job.opts.timeout;
-      JobContext ctx(id, external_cancel, deadline, has_deadline);
-      outcome.attempts = ++attempts[id];
+    if (live) {
+      outcome.attempts = ++attempts[i];
       const auto job_start = std::chrono::steady_clock::now();
       try {
         WCM_FAILPOINT("runtime.worker.job", simulation_error,
-                      "injected worker fault in job " + std::to_string(id) +
-                          (job.opts.label.empty() ? ""
-                                                  : " (" + job.opts.label +
-                                                        ")"));
-        if (has_deadline && job_start > deadline) {
-          throw simulation_error("job deadline expired while queued",
-                                 "job " + std::to_string(id));
-        }
-        job.fn(ctx);
-        if (has_deadline && std::chrono::steady_clock::now() > deadline) {
-          throw simulation_error("job exceeded its deadline",
-                                 "job " + std::to_string(id));
-        }
+                      "injected worker fault in job " + std::to_string(i) +
+                          (job.label.empty() ? "" : " (" + job.label + ")"));
+        job.fn();
         outcome.state = JobState::done;
       } catch (const wcm::error& e) {
         outcome.state = JobState::failed;
@@ -216,36 +129,32 @@ struct RunState {
 
       if (outcome.state == JobState::failed) {
         const bool transient = is_transient(outcome.code);
-        bool live = true;
         {
           const std::lock_guard<std::mutex> lock(mu);
           live = !cancelled();
         }
-        if (transient && live && outcome.attempts < retry.max_attempts) {
-          // Back off deterministically, then re-run the same job.  The
-          // failed attempt is *not* terminal: run() keeps waiting.
+        if (transient && live && outcome.attempts < opts.retry.max_attempts) {
+          // Back off deterministically, then queue the same job again
+          // behind everything already waiting.  The failed attempt is
+          // *not* terminal: run() keeps waiting.
           if (telemetry::enabled()) {
             telemetry::registry().counter("runtime.retry.attempts").add(1);
           }
           const double delay =
-              backoff_delay_seconds(retry, id, outcome.attempts);
+              backoff_delay_seconds(opts.retry, i, outcome.attempts);
           if (delay > 0.0) {
             std::this_thread::sleep_for(
                 std::chrono::duration<double>(delay));
           }
-          pool->submit([this, id] { execute(id); });
+          pool->submit([this, i] { execute(i); });
           return;
         }
-        if (transient && retry.max_attempts > 1 &&
-            outcome.attempts >= retry.max_attempts &&
+        if (transient && opts.retry.max_attempts > 1 &&
+            outcome.attempts >= opts.retry.max_attempts &&
             telemetry::enabled()) {
           telemetry::registry().counter("runtime.retry.exhausted").add(1);
         }
-        if (quarantine) {
-          outcome.state = JobState::quarantined;
-        }
-      } else if (outcome.state == JobState::done && outcome.attempts > 1 &&
-                 telemetry::enabled()) {
+      } else if (outcome.attempts > 1 && telemetry::enabled()) {
         telemetry::registry().counter("runtime.retry.success").add(1);
       }
     }
@@ -262,64 +171,46 @@ struct RunState {
         case JobState::failed:
           reg.counter("runtime.scheduler.jobs.failed").add(1);
           break;
-        case JobState::quarantined:
-          reg.counter("runtime.quarantine.jobs").add(1);
-          break;
-        case JobState::skipped_quarantined:
-          reg.counter("runtime.quarantine.deps_skipped").add(1);
-          reg.counter("runtime.scheduler.jobs.skipped").add(1);
-          break;
         case JobState::skipped_cancelled:
-        case JobState::skipped_dep_failed:
           reg.counter("runtime.scheduler.jobs.skipped").add(1);
           break;
       }
     }
 
     const std::lock_guard<std::mutex> lock(mu);
-    finish_locked(id, std::move(outcome));
+    finish_locked(i, std::move(outcome));
   }
 };
 
-RunReport run(const JobGraph& graph, const RunOptions& opts) {
+}  // namespace
+
+RunReport run(std::span<const Job> jobs, const RunOptions& opts) {
   WCM_SPAN("scheduler.run");
   WCM_EXPECTS(opts.threads >= 1, "run() needs at least one worker");
+  for (const Job& job : jobs) {
+    WCM_EXPECTS(job.fn != nullptr, "cannot run an empty job");
+  }
   RunReport report;
-  const std::size_t n = graph.size();
+  const std::size_t n = jobs.size();
   report.outcomes.resize(n);
   if (n == 0) {
     return report;
   }
 
-  RunState state(graph);
+  RunState state(jobs, opts);
   state.outcomes.resize(n);
-  state.pending_deps.resize(n);
-  state.dependents.resize(n);
   state.attempts.resize(n, 0);
-  state.external_cancel = opts.cancel;
-  state.fail_fast = opts.fail_fast;
-  state.quarantine = opts.quarantine;
-  state.retry = opts.retry;
-  state.start = std::chrono::steady_clock::now();
-  for (JobId id = 0; id < n; ++id) {
-    const auto& deps = state.graph.jobs_[id].opts.deps;
-    state.pending_deps[id] = deps.size();
-    for (const JobId dep : deps) {
-      state.dependents[dep].push_back(id);
-    }
-  }
-
   {
     ThreadPool pool(opts.threads);
     state.pool = &pool;
     {
-      // Seed the roots in id order; FIFO dequeue then gives the 1-thread
-      // run an exact topological-by-id execution order.
+      // Submit in list order under `mu`: a worker waits at its cancel
+      // check until every job is queued, so FIFO dequeue gives the
+      // 1-thread run exact list order and a retry always queues behind
+      // the whole list.
       const std::lock_guard<std::mutex> lock(state.mu);
-      for (JobId id = 0; id < n; ++id) {
-        if (state.pending_deps[id] == 0) {
-          pool.submit([&state, id] { state.execute(id); });
-        }
+      for (std::size_t i = 0; i < n; ++i) {
+        pool.submit([&state, i] { state.execute(i); });
       }
     }
     std::unique_lock<std::mutex> lock(state.mu);

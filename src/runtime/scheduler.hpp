@@ -1,43 +1,38 @@
 #pragma once
-// Job-graph scheduler on top of runtime/thread_pool.hpp.
+// Flat job runner on top of runtime/thread_pool.hpp.
 //
-// A JobGraph is a DAG of type-erased jobs: each job may depend on
-// earlier-added jobs (dependencies are ids < the job's own id, which makes
-// the graph acyclic by construction), may carry a deadline, and runs at
-// most once.  run() executes the graph on a fixed-size worker pool and
-// returns one JobOutcome per job, indexed by JobId — the result layout is
-// a pure function of the graph, never of worker scheduling, which is what
-// lets campaign output stay byte-identical between 1-thread and N-thread
-// runs.
+// run() executes a list of independent type-erased jobs on a fixed-size
+// worker pool and returns one JobOutcome per job, indexed like the list —
+// the result layout is a pure function of the list, never of worker
+// scheduling, which is what lets campaign output stay byte-identical
+// between 1-thread and N-thread runs.  Jobs are submitted in list order,
+// so a one-worker run executes them in exactly that order.
 //
-// Error model (wcm::error taxonomy, PR 1):
+// Error model (wcm::error taxonomy):
 //   * a job that throws is recorded `failed` with the thrown error's code
 //     (non-wcm exceptions are classified simulation_invariant);
-//   * a job whose deadline passes — before it starts, inside the job via
-//     JobContext::check_deadline(), or by the time it returns — fails with
-//     wcm::simulation_error;
-//   * jobs behind a failed dependency are `skipped_dep_failed`;
 //   * after CancelSource::cancel() (or any failure under
 //     RunOptions::fail_fast) still-queued jobs finish as
-//     `skipped_cancelled`; running jobs can poll JobContext::cancelled().
+//     `skipped_cancelled`.
+// Without fail_fast a failed job never stops the others: the
+// degraded-but-complete mode the campaign runtime builds on
+// (docs/RUNTIME.md).
 //
-// Fault tolerance (PR 6): RunOptions::retry re-runs a job whose failure
-// is transient (runtime/retry.hpp) up to max_attempts times, sleeping a
-// deterministic fork_seed'ed backoff between attempts.  Under
-// RunOptions::quarantine, a job that exhausts its attempts (or fails
-// permanently) is recorded `quarantined` instead of tripping fail-fast,
-// its dependents finish `skipped_quarantined`, and every unrelated job
-// still runs to completion — the degraded-but-complete mode the campaign
-// runtime builds on (docs/RUNTIME.md).
+// Fault tolerance: RunOptions::retry re-runs a job whose failure is
+// transient (runtime/retry.hpp) up to max_attempts times.  After a
+// deterministic fork_seed'ed backoff the failed job goes to the back of
+// the pool's queue, behind every job already waiting, never in place: a
+// WCM_FAILPOINTS schedule counts evaluations, so with one worker this
+// order decides which job each evaluation lands on.
 //
 // The worker wrapper evaluates the "runtime.worker.job" failpoint before
 // invoking each job, so WCM_FAILPOINTS can prove the whole
 // fail/skip/report pipeline end to end (docs/RUNTIME.md).
 
 #include <atomic>
-#include <chrono>
 #include <exception>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -48,15 +43,9 @@
 
 namespace wcm::runtime {
 
-using JobId = std::size_t;
-
-class JobContext;
-
-struct JobOptions {
-  std::vector<JobId> deps;  ///< must all be ids of earlier-added jobs
-  /// Wall-clock budget measured from run() start; zero = unlimited.
-  std::chrono::steady_clock::duration timeout{0};
-  std::string label;  ///< for error messages and progress lines
+struct Job {
+  std::function<void()> fn;  ///< must be non-empty (contract-checked)
+  std::string label;         ///< named in error messages
   /// Request trace context installed on the worker for the job's whole
   /// execution (including retries), so spans recorded inside the job —
   /// down to kernel rounds — carry the originating request's trace_id
@@ -65,24 +54,11 @@ struct JobOptions {
   telemetry::TraceContext trace;
 };
 
-enum class JobState {
-  done,
-  failed,
-  /// Exhausted its retry budget (or failed permanently) under
-  /// RunOptions::quarantine: isolated instead of tripping fail-fast.
-  quarantined,
-  skipped_cancelled,
-  skipped_dep_failed,
-  /// Skipped because a dependency was quarantined (distinct from
-  /// skipped_dep_failed so callers can report degraded completion).
-  skipped_quarantined,
-};
-
-[[nodiscard]] const char* to_string(JobState state) noexcept;
+enum class JobState { done, failed, skipped_cancelled };
 
 struct JobOutcome {
   JobState state = JobState::skipped_cancelled;
-  errc code = errc::simulation_invariant;  ///< valid when failed/quarantined
+  errc code = errc::simulation_invariant;  ///< valid when failed
   std::string message;                     ///< error text when failed
   std::exception_ptr error;                ///< original exception when failed
   double seconds = 0.0;                    ///< job body wall clock (last try)
@@ -101,86 +77,33 @@ class CancelSource {
   std::atomic<bool> cancelled_{false};
 };
 
-/// Handed to every job body; all methods are safe to call from the job's
-/// worker thread.
-class JobContext {
- public:
-  JobContext(JobId id, const CancelSource* cancel,
-             std::chrono::steady_clock::time_point deadline, bool has_deadline)
-      : id_(id),
-        cancel_(cancel),
-        deadline_(deadline),
-        has_deadline_(has_deadline) {}
-
-  [[nodiscard]] JobId id() const noexcept { return id_; }
-  [[nodiscard]] bool cancelled() const noexcept {
-    return cancel_ != nullptr && cancel_->cancelled();
-  }
-  /// Throws wcm::simulation_error when the run has been cancelled.
-  void check_cancelled() const;
-  [[nodiscard]] bool deadline_exceeded() const noexcept {
-    return has_deadline_ && std::chrono::steady_clock::now() > deadline_;
-  }
-  /// Throws wcm::simulation_error when past this job's deadline.
-  void check_deadline() const;
-
- private:
-  JobId id_;
-  const CancelSource* cancel_;
-  std::chrono::steady_clock::time_point deadline_;
-  bool has_deadline_;
-};
-
-struct RunOptions;
-struct RunReport;
-
-class JobGraph {
- public:
-  /// Add a job; `opts.deps` must reference earlier-added jobs
-  /// (contract-checked).  Returns the job's id (= insertion index).
-  JobId add(std::function<void(JobContext&)> fn, JobOptions opts = {});
-
-  [[nodiscard]] std::size_t size() const noexcept { return jobs_.size(); }
-
- private:
-  friend struct RunState;
-  friend RunReport run(const JobGraph& graph, const RunOptions& opts);
-  struct Job {
-    std::function<void(JobContext&)> fn;
-    JobOptions opts;
-  };
-  std::vector<Job> jobs_;
-};
-
 struct RunOptions {
   u32 threads = 1;
   /// Cancel everything still queued as soon as one job fails.
   bool fail_fast = false;
-  /// Isolate exhausted jobs as `quarantined` (dependents finish
-  /// `skipped_quarantined`) instead of failing; unrelated jobs still run.
-  /// Takes precedence over fail_fast for the quarantined jobs themselves.
-  bool quarantine = false;
   /// Transient failures re-run up to retry.max_attempts times with
-  /// deterministic backoff (stream = job id).  Default: never retry.
+  /// deterministic backoff (stream = job index).  Default: never retry.
   RetryPolicy retry;
   /// Optional external cancellation handle (not owned; may be null).
   CancelSource* cancel = nullptr;
 };
 
 struct RunReport {
-  std::vector<JobOutcome> outcomes;  ///< indexed by JobId
+  std::vector<JobOutcome> outcomes;  ///< indexed like the job list
 
   [[nodiscard]] bool ok() const noexcept;
   [[nodiscard]] std::size_t count(JobState state) const noexcept;
-  /// Rethrow the failure of the lowest-id failed job (deterministic across
-  /// thread counts); no-op when every job succeeded.
+  /// Rethrow the failure of the lowest-index failed job (deterministic
+  /// across thread counts); no-op when no job failed.
   void rethrow_first_error() const;
 };
 
-/// Execute the graph to completion on `opts.threads` workers and report
-/// every job's outcome.  Never throws for job failures — inspect the
-/// report (or use rethrow_first_error()).
-[[nodiscard]] RunReport run(const JobGraph& graph, const RunOptions& opts);
+/// Execute every job to a terminal state on `opts.threads` workers and
+/// report each one's outcome.  Throws wcm::contract_error on a job with an
+/// empty `fn`; never throws for job failures — inspect the report (or use
+/// rethrow_first_error()).
+[[nodiscard]] RunReport run(std::span<const Job> jobs,
+                            const RunOptions& opts);
 
 /// Deterministic parallel map: results[i] = fn(i), computed on `threads`
 /// workers, returned in index order.  The first failure (by index) is
@@ -190,14 +113,15 @@ auto parallel_map(std::size_t count, u32 threads, Fn&& fn)
     -> std::vector<decltype(fn(std::size_t{}))> {
   using Result = decltype(fn(std::size_t{}));
   std::vector<Result> results(count);
-  JobGraph graph;
+  std::vector<Job> jobs;
+  jobs.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    graph.add([&results, &fn, i](JobContext&) { results[i] = fn(i); });
+    jobs.push_back(Job{[&results, &fn, i] { results[i] = fn(i); }, {}, {}});
   }
   RunOptions opts;
   opts.threads = threads;
   opts.fail_fast = true;
-  run(graph, opts).rethrow_first_error();
+  run(jobs, opts).rethrow_first_error();
   return results;
 }
 

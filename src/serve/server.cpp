@@ -550,7 +550,7 @@ struct Server::Impl {
     };
     std::vector<Slot> slots(batch.size());
     std::vector<std::size_t> job_slot;  // slot index of each added job
-    runtime::JobGraph graph;
+    std::vector<runtime::Job> jobs;
     const auto now = std::chrono::steady_clock::now();
     for (std::size_t i = 0; i < batch.size(); ++i) {
       QueueItem& item = batch[i];
@@ -575,21 +575,18 @@ struct Server::Impl {
       }
       count("serve.jobs");
       job_slot.push_back(i);
-      runtime::JobOptions opts;
-      opts.label = item.req.op;
-      opts.trace = item.trace;
-      graph.add(
-          [this, &item, &slot = slots[i]](runtime::JobContext&) {
+      jobs.push_back(runtime::Job{
+          [this, &item, &slot = slots[i]] {
             detail::dispatch_failpoint();
             slot.result.value = execute(item.req, cfg_, &drain_);
             slot.result.ok = true;
           },
-          std::move(opts));
+          item.req.op, item.trace});
     }
-    if (!job_slot.empty()) {
+    if (!jobs.empty()) {
       runtime::RunOptions ropts;
       ropts.threads = worker_threads_;
-      const runtime::RunReport report = runtime::run(graph, ropts);
+      const runtime::RunReport report = runtime::run(jobs, ropts);
       for (std::size_t j = 0; j < job_slot.size(); ++j) {
         Slot& slot = slots[job_slot[j]];
         const runtime::JobOutcome& out = report.outcomes[j];

@@ -4,7 +4,7 @@
 // One Server owns the whole request path:
 //
 //   accept thread ── per-connection reader threads ── admission queue ──
-//   dispatcher thread (batches leaders into scheduler job graphs) ──
+//   dispatcher thread (batches leaders into scheduler job lists) ──
 //   single-flight completion fan-out ── per-connection writers
 //
 // Requests are parsed and answered from the multi-tenant response cache on

@@ -11,7 +11,7 @@
 // context is active carries the context's trace_id and tenant, gets a
 // fresh span_id, and records the enclosing span's id as its parent —
 // crossing threads whenever the context is re-installed on a worker
-// (runtime::JobOptions::trace).
+// (runtime::Job::trace).
 //
 // Ids are process-unique and never 0 (0 means "absent"); they are
 // volatile like timestamps, so golden tests normalize them by order of

@@ -2,8 +2,10 @@
 
 #include <charconv>
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <mutex>
+#include <string_view>
 #include <vector>
 
 #include "util/error.hpp"
@@ -51,7 +53,9 @@ struct State {
 
 struct Registry {
   std::mutex mu;
-  std::map<std::string, State> points;
+  /// Transparent comparator: should_fail() looks a name up without
+  /// building a std::string.
+  std::map<std::string, State, std::less<>> points;
   std::string parsed_env;  // last WCM_FAILPOINTS value applied
   bool env_checked = false;
 
@@ -171,7 +175,12 @@ bool should_fail(const char* name) {
   if (!r.env_checked) {
     apply_env_locked(r);
   }
-  State& s = r.points[name];
+  const std::string_view key(name);
+  auto it = r.points.find(key);
+  if (it == r.points.end()) {  // first sight registers the name
+    it = r.points.emplace(std::string(key), State{}).first;
+  }
+  State& s = it->second;
   ++s.evaluations;
   if (!s.armed) {
     return false;

@@ -9,6 +9,7 @@
 // invalidating caches and checksums.
 
 #include <cstddef>
+#include <string>
 #include <string_view>
 
 #include "util/math.hpp"
@@ -41,6 +42,17 @@ inline constexpr u64 fnv_prime = 1099511628211ULL;
 /// Hash one string from a fresh chain.
 [[nodiscard]] inline u64 fnv1a(std::string_view text) noexcept {
   return fnv1a(fnv_offset_basis, text);
+}
+
+/// A digest as 16 zero-padded lowercase hex digits, the form the prove,
+/// verify and certify reports print after "fnv1a:".
+[[nodiscard]] inline std::string hex16(u64 v) {
+  static constexpr char digits[] = "0123456789abcdef";
+  std::string out(16, '0');
+  for (std::size_t i = out.size(); i-- > 0; v >>= 4) {
+    out[i] = digits[v & 0xF];
+  }
+  return out;
 }
 
 }  // namespace wcm

@@ -459,11 +459,10 @@ TEST_F(FaultInjectionTest, EveryRegisteredFailpointFired) {
       {"runtime.worker.job",
        {errc::simulation_invariant,
         [] {
-          runtime::JobGraph graph;
-          graph.add([](runtime::JobContext&) {});
+          const std::vector<runtime::Job> jobs{runtime::Job{[] {}, {}, {}}};
           runtime::RunOptions opts;
           opts.threads = 1;
-          runtime::run(graph, opts).rethrow_first_error();
+          runtime::run(jobs, opts).rethrow_first_error();
         }}},
       {"runtime.cache.load",
        {errc::io_failure,

@@ -18,8 +18,6 @@ TEST(SharedLayout, IdentityWithoutPadding) {
   for (const std::size_t a : {0u, 1u, 31u, 32u, 1000u}) {
     EXPECT_EQ(l.physical(a), a);
   }
-  EXPECT_EQ(l.physical_words(100), 100u);
-  EXPECT_EQ(l.physical_words(0), 0u);
 }
 
 TEST(SharedLayout, PaddingShiftsColumns) {
@@ -28,7 +26,6 @@ TEST(SharedLayout, PaddingShiftsColumns) {
   EXPECT_EQ(l.physical(31), 31u);
   EXPECT_EQ(l.physical(32), 33u);  // one pad word after each 32
   EXPECT_EQ(l.physical(64), 66u);
-  EXPECT_EQ(l.physical_words(64), 65u);  // physical(63) + 1
 }
 
 TEST(SharedLayout, BankRotationProperty) {
@@ -107,16 +104,6 @@ TEST(SharedLayout, PermutedColumnsAreConflictFree) {
       }
     }
   }
-}
-
-TEST(SharedLayout, PermutedPhysicalWordsRoundUpToFullRows) {
-  const SharedLayout x{32, 0, LayoutKind::xor_swizzle};
-  // Row 1 column 0 lives at physical column 0^1 = 1; a partial row still
-  // needs the full row allocated.
-  EXPECT_EQ(x.physical_words(33), 64u);
-  EXPECT_EQ(x.physical_words(32), 32u);
-  const SharedLayout r{32, 1, LayoutKind::rotation};
-  EXPECT_EQ(r.physical_words(33), 66u);
 }
 
 TEST(SharedMemoryPermuted, ValuesUnaffectedByPermutation) {

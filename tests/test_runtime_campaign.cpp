@@ -14,6 +14,7 @@
 #include "analysis/experiment.hpp"
 #include "runtime/campaign.hpp"
 #include "runtime/scheduler.hpp"
+#include "telemetry/registry.hpp"
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
 #include "util/json.hpp"
@@ -399,6 +400,31 @@ TEST(CampaignFaults, PermanentFaultQuarantinesInsteadOfFailingFast) {
   EXPECT_NE(outcome.json.find("\"cells\":[]"), std::string::npos);
   EXPECT_NE(outcome.json.find("\"quarantined\":[{"), std::string::npos);
   EXPECT_NE(outcome.json.find("\"attempts\":3"), std::string::npos);
+}
+
+// The runner reports a quarantined cell `failed`; the campaign's fold
+// counts it on runtime.quarantine.jobs, once per quarantined cell.
+TEST(CampaignFaults, QuarantinedCellsAreCountedOncePerCell) {
+  const auto spec = parse_campaign_spec(kSmallSpec);
+  telemetry::registry().reset();
+  telemetry::set_enabled(true);
+  CampaignOutcome outcome;
+  {
+    failpoint::scoped_arm fp("runtime.worker.job");  // every attempt fails
+    CampaignOptions opts;
+    opts.threads = 2;
+    opts.use_cache = false;
+    outcome = run_campaign(spec, opts);
+  }
+  const auto snap = telemetry::registry().snapshot();
+  telemetry::set_enabled(false);
+  telemetry::registry().reset();
+  EXPECT_TRUE(outcome.degraded());
+  ASSERT_EQ(outcome.quarantined.size(), 4u);
+  EXPECT_EQ(snap.counter_total("runtime.quarantine.jobs"),
+            outcome.quarantined.size());
+  EXPECT_EQ(snap.counter_total("runtime.scheduler.jobs.failed"),
+            outcome.quarantined.size());
 }
 
 TEST(CampaignFaults, TransientFaultIsRetriedToSuccess) {

@@ -1,14 +1,14 @@
-// Scheduler contract tests: dependency ordering, deterministic outcome
-// layout across thread counts, cancellation mid-queue, deadline timeouts
-// surfacing as wcm::simulation_error, fail-fast, and failpoint-injected
-// worker faults.
+// Job-runner contract tests: deterministic outcome layout across thread
+// counts, cancellation mid-queue, fail-fast, retries queued behind the
+// rest of the list, empty jobs rejected, and failpoint-injected worker
+// faults.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <mutex>
+#include <functional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -20,13 +20,7 @@
 namespace wcm::runtime {
 namespace {
 
-using namespace std::chrono_literals;
-
-JobOptions deps(std::vector<JobId> ids) {
-  JobOptions opts;
-  opts.deps = std::move(ids);
-  return opts;
-}
+Job job(std::function<void()> fn) { return Job{std::move(fn), {}, {}}; }
 
 TEST(ThreadPool, RunsEverySubmittedTask) {
   std::atomic<int> count{0};
@@ -60,59 +54,24 @@ TEST(ThreadPool, RejectsZeroWorkersAndEmptyTasks) {
   EXPECT_THROW(pool.submit(nullptr), contract_error);
 }
 
-TEST(Scheduler, DependenciesRunBeforeDependents) {
-  JobGraph graph;
-  std::mutex mu;
-  std::vector<JobId> order;
-  const auto record = [&](JobId id) {
-    const std::lock_guard<std::mutex> lock(mu);
-    order.push_back(id);
-  };
-  const JobId a = graph.add([&](JobContext&) { record(0); });
-  const JobId b = graph.add([&](JobContext&) { record(1); }, deps({a}));
-  const JobId c = graph.add([&](JobContext&) { record(2); }, deps({a}));
-  const JobId d = graph.add([&](JobContext&) { record(3); }, deps({b, c}));
-
-  RunOptions opts;
-  opts.threads = 4;
-  const auto report = run(graph, opts);
-  ASSERT_TRUE(report.ok());
-  ASSERT_EQ(order.size(), 4u);
-  const auto pos = [&](JobId id) {
-    return std::find(order.begin(), order.end(), id) - order.begin();
-  };
-  EXPECT_LT(pos(a), pos(b));
-  EXPECT_LT(pos(a), pos(c));
-  EXPECT_LT(pos(b), pos(d));
-  EXPECT_LT(pos(c), pos(d));
-}
-
-TEST(Scheduler, ForwardDependenciesAreRejected) {
-  JobGraph graph;
-  const JobId a = graph.add([](JobContext&) {});
-  EXPECT_THROW(graph.add([](JobContext&) {}, deps({a + 1})), contract_error);
-  EXPECT_THROW(graph.add(nullptr), contract_error);
-}
-
 TEST(Scheduler, OutcomeLayoutIsIndependentOfThreadCount) {
   const auto build = [] {
-    JobGraph graph;
+    std::vector<Job> jobs;
     for (int i = 0; i < 12; ++i) {
       if (i == 5) {
-        graph.add([](JobContext&) {
-          throw config_error("job five always fails");
-        });
+        jobs.push_back(
+            job([] { throw config_error("job five always fails"); }));
       } else {
-        graph.add([](JobContext&) {});
+        jobs.push_back(job([] {}));
       }
     }
-    return graph;
+    return jobs;
   };
   for (const u32 threads : {1u, 4u}) {
-    const auto graph = build();
+    const auto jobs = build();
     RunOptions opts;
     opts.threads = threads;
-    const auto report = run(graph, opts);
+    const auto report = run(jobs, opts);
     ASSERT_EQ(report.outcomes.size(), 12u) << threads << " threads";
     for (std::size_t i = 0; i < 12; ++i) {
       const auto expected =
@@ -126,123 +85,86 @@ TEST(Scheduler, OutcomeLayoutIsIndependentOfThreadCount) {
 }
 
 TEST(Scheduler, CancellationSkipsQueuedJobs) {
-  JobGraph graph;
+  std::vector<Job> jobs;
   CancelSource cancel;
   std::atomic<int> ran{0};
-  graph.add([&](JobContext&) {
+  jobs.push_back(job([&] {
     ran.fetch_add(1);
     cancel.cancel();
-  });
+  }));
   for (int i = 0; i < 8; ++i) {
-    graph.add([&](JobContext&) { ran.fetch_add(1); });
+    jobs.push_back(job([&] { ran.fetch_add(1); }));
   }
 
   RunOptions opts;
   opts.threads = 1;  // deterministic: job 0 runs first, cancels the rest
   opts.cancel = &cancel;
-  const auto report = run(graph, opts);
+  const auto report = run(jobs, opts);
   EXPECT_EQ(ran.load(), 1);
   EXPECT_EQ(report.count(JobState::done), 1u);
   EXPECT_EQ(report.count(JobState::skipped_cancelled), 8u);
   EXPECT_FALSE(report.ok());
 }
 
-TEST(Scheduler, RunningJobsObserveCancellation) {
-  JobGraph graph;
-  CancelSource cancel;
-  graph.add([&](JobContext& ctx) {
-    cancel.cancel();
-    EXPECT_TRUE(ctx.cancelled());
-    ctx.check_cancelled();  // throws simulation_error -> the job fails
-  });
-  RunOptions opts;
-  opts.threads = 1;
-  opts.cancel = &cancel;
-  const auto report = run(graph, opts);
-  // The job observed cancellation and threw from check_cancelled().
-  EXPECT_EQ(report.outcomes[0].state, JobState::failed);
-  EXPECT_EQ(report.outcomes[0].code, errc::simulation_invariant);
-}
-
-TEST(Scheduler, DeadlineOverrunFailsAsSimulationError) {
-  JobGraph graph;
-  JobOptions opts_slow;
-  opts_slow.timeout = 1ms;
-  graph.add([](JobContext&) { std::this_thread::sleep_for(20ms); },
-            opts_slow);
-  JobOptions opts_fast;
-  opts_fast.timeout = 10s;
-  graph.add([](JobContext&) {}, opts_fast);
-
-  RunOptions opts;
-  opts.threads = 2;
-  const auto report = run(graph, opts);
-  EXPECT_EQ(report.outcomes[0].state, JobState::failed);
-  EXPECT_EQ(report.outcomes[0].code, errc::simulation_invariant);
-  EXPECT_THROW(report.rethrow_first_error(), simulation_error);
-  EXPECT_EQ(report.outcomes[1].state, JobState::done);
-}
-
-TEST(Scheduler, MidJobDeadlineCheckThrows) {
-  JobGraph graph;
-  JobOptions jopts;
-  jopts.timeout = 1ms;
-  graph.add(
-      [](JobContext& ctx) {
-        std::this_thread::sleep_for(20ms);
-        EXPECT_TRUE(ctx.deadline_exceeded());
-        ctx.check_deadline();  // throws simulation_error
-        FAIL() << "check_deadline did not throw";
-      },
-      jopts);
-  RunOptions opts;
-  opts.threads = 1;
-  const auto report = run(graph, opts);
-  EXPECT_EQ(report.outcomes[0].state, JobState::failed);
-}
-
-TEST(Scheduler, DependentsOfFailuresAreSkipped) {
-  JobGraph graph;
-  const JobId a = graph.add([](JobContext&) {
-    throw simulation_error("dependency fails");
-  });
-  const JobId b = graph.add([](JobContext&) {}, deps({a}));
-  const JobId c = graph.add([](JobContext&) {}, deps({b}));
-  RunOptions opts;
-  opts.threads = 2;
-  const auto report = run(graph, opts);
-  EXPECT_EQ(report.outcomes[a].state, JobState::failed);
-  EXPECT_EQ(report.outcomes[b].state, JobState::skipped_dep_failed);
-  EXPECT_EQ(report.outcomes[c].state, JobState::skipped_dep_failed);
-}
-
 TEST(Scheduler, FailFastCancelsTheRemainingQueue) {
-  JobGraph graph;
+  std::vector<Job> jobs;
   std::atomic<int> ran{0};
-  graph.add([](JobContext&) { throw io_error("first job fails"); });
+  jobs.push_back(job([] { throw io_error("first job fails"); }));
   for (int i = 0; i < 8; ++i) {
-    graph.add([&](JobContext&) { ran.fetch_add(1); });
+    jobs.push_back(job([&] { ran.fetch_add(1); }));
   }
   RunOptions opts;
   opts.threads = 1;
   opts.fail_fast = true;
-  const auto report = run(graph, opts);
+  const auto report = run(jobs, opts);
   EXPECT_EQ(ran.load(), 0);
   EXPECT_EQ(report.count(JobState::failed), 1u);
   EXPECT_EQ(report.count(JobState::skipped_cancelled), 8u);
   EXPECT_THROW(report.rethrow_first_error(), io_error);
 }
 
-TEST(Scheduler, FailpointInjectsWorkerFault) {
-  failpoint::scoped_arm fp("runtime.worker.job", /*skip=*/1, /*times=*/1);
-  JobGraph graph;
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 3; ++i) {
-    graph.add([&](JobContext&) { ran.fetch_add(1); });
+// A transient failure is retried from the back of the queue, not in
+// place: with one worker the jobs queued behind it run first.  A
+// WCM_FAILPOINTS schedule counts evaluations, so this order decides which
+// job each evaluation lands on.
+TEST(Scheduler, RetryRunsAfterTheJobsQueuedBehindIt) {
+  failpoint::scoped_arm fp("runtime.worker.job", /*skip=*/0, /*times=*/1);
+  std::vector<std::size_t> order;
+  std::vector<Job> jobs;
+  for (std::size_t i = 0; i < 4; ++i) {
+    jobs.push_back(job([&order, i] { order.push_back(i); }));
   }
   RunOptions opts;
   opts.threads = 1;
-  const auto report = run(graph, opts);
+  opts.retry.max_attempts = 2;
+  opts.retry.base_delay_seconds = 0.0;
+  const auto report = run(jobs, opts);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(order, (std::vector<std::size_t>{1, 2, 3, 0}));
+  EXPECT_EQ(report.outcomes[0].attempts, 2u);
+  for (std::size_t i = 1; i < 4; ++i) {
+    EXPECT_EQ(report.outcomes[i].attempts, 1u) << "job " << i;
+  }
+}
+
+TEST(Scheduler, EmptyJobIsRejected) {
+  std::vector<Job> jobs;
+  jobs.push_back(job([] {}));
+  jobs.push_back(Job{nullptr, "empty", {}});
+  RunOptions opts;
+  EXPECT_THROW((void)run(jobs, opts), contract_error);
+}
+
+TEST(Scheduler, FailpointInjectsWorkerFault) {
+  failpoint::scoped_arm fp("runtime.worker.job", /*skip=*/1, /*times=*/1);
+  std::vector<Job> jobs;
+  std::atomic<int> ran{0};
+  for (int i = 0; i < 3; ++i) {
+    jobs.push_back(job([&] { ran.fetch_add(1); }));
+  }
+  RunOptions opts;
+  opts.threads = 1;
+  const auto report = run(jobs, opts);
   EXPECT_EQ(report.outcomes[0].state, JobState::done);
   EXPECT_EQ(report.outcomes[1].state, JobState::failed);
   EXPECT_EQ(report.outcomes[1].code, errc::simulation_invariant);
@@ -253,10 +175,10 @@ TEST(Scheduler, FailpointInjectsWorkerFault) {
 }
 
 TEST(Scheduler, EmptyGraphRunsToEmptyReport) {
-  const JobGraph graph;
+  const std::vector<Job> jobs;
   RunOptions opts;
   opts.threads = 2;
-  const auto report = run(graph, opts);
+  const auto report = run(jobs, opts);
   EXPECT_TRUE(report.ok());
   EXPECT_TRUE(report.outcomes.empty());
   report.rethrow_first_error();  // no-op

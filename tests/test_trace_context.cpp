@@ -1,7 +1,7 @@
 // Request-tracing tests (docs/TELEMETRY.md "Request tracing"): the
 // trace-context primitives (hex ids, scoped install/restore), span
 // parent-chaining through nested scopes, propagation across the
-// scheduler's thread hop via JobOptions::trace, and the end-to-end causal
+// scheduler's thread hop via runtime::Job::trace, and the end-to-end causal
 // tree — a batched 2-request wcmd dispatch under threads>1 must export
 // one Chrome trace where every span of each request shares that request's
 // trace_id across at least two threads, with parent links rooted at the
@@ -201,15 +201,12 @@ TEST(TraceSpans, SchedulerJobInheritsTheJobOptionsContext) {
   ctx.trace_id = 0x99;
   ctx.span_id = 0x1234;  // pretend parent from the submitting thread
   ctx.tenant = "sched";
-  runtime::JobGraph graph;
-  runtime::JobOptions opts;
-  opts.trace = ctx;
-  graph.add([](runtime::JobContext&) { WCM_SPAN("job.body"); },
-            std::move(opts));
-  graph.add([](runtime::JobContext&) {}, {});  // untraced job
+  std::vector<runtime::Job> jobs;
+  jobs.push_back(runtime::Job{[] { WCM_SPAN("job.body"); }, {}, ctx});
+  jobs.push_back(runtime::Job{[] {}, {}, {}});  // untraced job
   runtime::RunOptions ropts;
   ropts.threads = 2;
-  EXPECT_TRUE(runtime::run(graph, ropts).ok());
+  EXPECT_TRUE(runtime::run(jobs, ropts).ok());
   const auto spans = export_spans();
   const ExportedSpan* job_span = nullptr;
   const ExportedSpan* body = nullptr;

@@ -62,5 +62,12 @@ TEST(UtilHash, SeededChainsDiffer) {
   EXPECT_NE(fnv1a("ab"), fnv1a("ba"));
 }
 
+TEST(UtilHash, Hex16IsSixteenZeroPaddedLowercaseDigits) {
+  EXPECT_EQ(hex16(0), "0000000000000000");
+  EXPECT_EQ(hex16(0xabcULL), "0000000000000abc");
+  EXPECT_EQ(hex16(fnv1a("foobar")), "85944171f73967e8");
+  EXPECT_EQ(hex16(~u64{0}), "ffffffffffffffff");
+}
+
 }  // namespace
 }  // namespace wcm
