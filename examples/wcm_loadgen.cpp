@@ -99,7 +99,8 @@ struct Rng {
 /// single-flight coalescer rather than raw compute.
 std::string mix_request(Rng& rng, const std::string& tenant, u64 serial) {
   std::ostringstream os;
-  const std::string id = "r" + std::to_string(serial);
+  std::string id(1, 'r');
+  id += std::to_string(serial);
   if (rng.below(16) == 0) {
     const bool pairwise = rng.below(2) == 0;
     os << R"({"id":")" << id << R"(","op":"prove","params":{"b":64,)"

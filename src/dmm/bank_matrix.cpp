@@ -39,7 +39,7 @@ std::string render_bank_matrix(
   for (std::size_t addr = 0; addr < size; ++addr) {
     std::string s = cell(addr);
     if (s.empty()) {
-      s = ".";
+      s.assign(1, '.');
     }
     const std::size_t b = bank_of(addr, w);
     const std::size_t c = column_of(addr, w);

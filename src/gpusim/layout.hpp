@@ -25,6 +25,7 @@
 // gcd(pad, w) = 1.  Values are always addressed logically; only conflict
 // accounting sees physical addresses.
 
+#include <bit>
 #include <cstddef>
 #include <string>
 
@@ -47,28 +48,39 @@ struct SharedLayout {
   u32 pad = 0;
   LayoutKind kind = LayoutKind::linear;
 
-  /// Physical column of logical column `col` within row `row`.
+  /// x mod w.  Every priced lane passes through here, so a power-of-two
+  /// w (every real warp) takes a mask; any other w keeps the division.
+  [[nodiscard]] u32 mod_w(std::size_t x) const noexcept {
+    return static_cast<u32>((w & (w - 1)) == 0 ? x & (w - 1) : x % w);
+  }
+
+  /// Physical column of logical column `col` (< w) within row `row`.
   [[nodiscard]] u32 permute(u32 col, std::size_t row) const noexcept {
     switch (kind) {
       case LayoutKind::xor_swizzle:
-        return col ^ static_cast<u32>(row % w);
-      case LayoutKind::rotation:
-        return (col + static_cast<u32>(row % w)) % w;
+        return col ^ mod_w(row);
+      case LayoutKind::rotation: {
+        const u32 shifted = col + mod_w(row);  // < 2w
+        return shifted >= w ? shifted - w : shifted;
+      }
       case LayoutKind::linear:
         break;
     }
     return col;
   }
 
+  /// Physical address of a logical one: a shift for the row when w is a
+  /// power of two, a division otherwise.
   [[nodiscard]] std::size_t physical(std::size_t logical) const noexcept {
-    const std::size_t row = logical / w;
-    const u32 col = static_cast<u32>(logical % w);
-    return row * (w + pad) + permute(col, row);
+    const std::size_t row = (w & (w - 1)) == 0
+                                ? logical >> std::countr_zero(w)
+                                : logical / w;
+    return row * (w + pad) + permute(mod_w(logical), row);
   }
 
   /// Bank holding a logical address: physical mod w.
   [[nodiscard]] u32 bank(std::size_t logical) const noexcept {
-    return static_cast<u32>(physical(logical) % w);
+    return mod_w(physical(logical));
   }
 };
 

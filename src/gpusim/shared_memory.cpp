@@ -70,6 +70,36 @@ void SharedMemory::warp_write(std::span<const LaneWrite> writes) {
   }
 }
 
+bool SharedMemory::memo_enabled() const {
+  return recorder_ == nullptr && !failpoint::any_armed();
+}
+
+const dmm::MachineStats* SharedMemory::kept_stats(const PhaseKey& key) const {
+  for (const auto& [k, kept] : memo_) {
+    if (k.phase == key.phase) {
+      return k == key ? &kept : nullptr;
+    }
+  }
+  return nullptr;
+}
+
+void SharedMemory::keep(const PhaseKey& key) {
+  for (auto& [k, kept] : memo_) {
+    if (k.phase == key.phase) {
+      k = key;
+      kept = stats_;
+      return;
+    }
+  }
+  memo_.emplace_back(key, stats_);
+}
+
+void SharedMemory::resume(const dmm::MachineStats& before) noexcept {
+  const dmm::MachineStats phase = stats_;
+  stats_ = before;
+  stats_ += phase;
+}
+
 void SharedMemory::fill(std::span<const word> values, std::size_t base) {
   WCM_EXPECTS(base + values.size() <= mem_.size(), "fill out of bounds");
   if (recorder_ != nullptr && !values.empty()) {

@@ -6,8 +6,19 @@
 // addresses (the layout is a bijection, so only pricing needs physical
 // ones); kernels read values with peek().  Conflict statistics accumulate
 // here and are read out per kernel by the sort engine.
+//
+// A run of steps whose addresses never depend on the keys (staging, the
+// register sort's loads and stores, a thread-contiguous write-back, a
+// whole shearsort tile) prices the same in every block of a launch.
+// oblivious() prices such a phase once, on the full path with every
+// check, keeps the phase's own MachineStats, and lets each later call with
+// the same key do only the phase's data movement and add the kept stats.
+// While a TraceRecorder is attached or any failpoint is armed every call
+// takes the full path, so traces and fault schedules see every step.
 
 #include <span>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "dmm/access.hpp"
@@ -87,6 +98,48 @@ class SharedMemory {
   }
   void reset_stats() noexcept { stats_ = {}; }
 
+  /// Names a data-independent phase and the shape values its addresses
+  /// depend on beyond this memory's layout and size.  The memo keeps one
+  /// slot per phase name.
+  struct PhaseKey {
+    std::string_view phase;
+    std::size_t shape0 = 0;
+    std::size_t shape1 = 0;
+    bool operator==(const PhaseKey&) const = default;
+  };
+
+  /// Run a phase whose warp steps never depend on the keys.  The first
+  /// call with `key` runs `steps` (every check, every step priced) and
+  /// keeps the phase's own stats; a later call with the same key runs
+  /// `move`, which must leave every word and output that is read later as
+  /// `steps` would, and adds the kept stats, so every total (and the
+  /// running max_bank_degree) comes out as the full path gives it.  A different key re-prices the phase and
+  /// replaces its slot; a step that throws while a phase is priced leaves
+  /// stats() as the full path would and keeps nothing.  With a recorder
+  /// attached or any failpoint armed, `steps` always runs.
+  template <typename Steps, typename Move>
+  void oblivious(const PhaseKey& key, Steps&& steps, Move&& move) {
+    if (!memo_enabled()) {
+      steps();
+      return;
+    }
+    if (const dmm::MachineStats* kept = kept_stats(key)) {
+      move();
+      stats_ += *kept;
+      return;
+    }
+    const dmm::MachineStats before = stats_;
+    stats_ = {};
+    try {
+      steps();
+    } catch (...) {
+      resume(before);
+      throw;
+    }
+    keep(key);
+    resume(before);
+  }
+
   /// Attach an access-trace recorder (see gpusim/trace.hpp); nullptr
   /// detaches.  The recorder adopts this memory's warp size and word count
   /// and must outlive its attachment.  A trace holds at most 64 lanes: a
@@ -99,12 +152,21 @@ class SharedMemory {
   template <class Lane>
   void price(std::span<const Lane> lanes, dmm::Op op);
 
+  /// oblivious() helpers: whether the memo may be used at all, the kept
+  /// stats of `key` (nullptr when its slot is empty or holds another key),
+  /// keeping stats() as `key`'s, and stats() = before + stats().
+  [[nodiscard]] bool memo_enabled() const;
+  [[nodiscard]] const dmm::MachineStats* kept_stats(const PhaseKey& key) const;
+  void keep(const PhaseKey& key);
+  void resume(const dmm::MachineStats& before) noexcept;
+
   SharedLayout layout_;
   std::vector<word> mem_;  // indexed by logical address
   dmm::MachineStats stats_;
   class TraceRecorder* recorder_ = nullptr;
   bool atomic_section_ = false;
   std::vector<dmm::Request> scratch_;  // reused request buffer
+  std::vector<std::pair<PhaseKey, dmm::MachineStats>> memo_;  // one per phase
 };
 
 }  // namespace wcm::gpusim

@@ -180,21 +180,36 @@ std::vector<word> simulate_block_merge(gpusim::SharedMemory& shm,
   stats.shared_merge_reads += shm.stats() - before_merge;
 
   // Barrier, then thread-contiguous write-back of the register file, then
-  // another barrier before anyone reads the merged output.
+  // another barrier before anyone reads the merged output.  When thread i
+  // writes [iE, iE + E) (every block-level merge does) the stores' addresses
+  // depend only on (E, threads): they are priced once, and a repeat only
+  // copies the register file into [0, threads * E).
   if (write_back) {
     shm.barrier();
-    std::vector<gpusim::LaneWrite> writes;
-    writes.reserve(w);
-    for (std::size_t warp_start = 0; warp_start < t; warp_start += w) {
-      const std::size_t warp_end = std::min<std::size_t>(warp_start + w, t);
-      for (u32 s = 0; s < E; ++s) {
-        writes.clear();
-        for (std::size_t i = warp_start; i < warp_end; ++i) {
-          writes.push_back({static_cast<u32>(i - warp_start),
-                            ctxs[i].out_begin + s, regs[i * E + s]});
+    const auto write_steps = [&] {
+      std::vector<gpusim::LaneWrite> writes;
+      writes.reserve(w);
+      for (std::size_t warp_start = 0; warp_start < t; warp_start += w) {
+        const std::size_t warp_end = std::min<std::size_t>(warp_start + w, t);
+        for (u32 s = 0; s < E; ++s) {
+          writes.clear();
+          for (std::size_t i = warp_start; i < warp_end; ++i) {
+            writes.push_back({static_cast<u32>(i - warp_start),
+                              ctxs[i].out_begin + s, regs[i * E + s]});
+          }
+          shm.warp_write(writes);
         }
-        shm.warp_write(writes);
       }
+    };
+    bool contiguous = true;
+    for (std::size_t i = 0; i < t && contiguous; ++i) {
+      contiguous = ctxs[i].out_begin == i * E;
+    }
+    if (contiguous) {
+      shm.oblivious({"merged write-back", E, t}, write_steps,
+                    [&] { shm.fill(regs); });
+    } else {
+      write_steps();
     }
     shm.barrier();
   }

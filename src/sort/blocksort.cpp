@@ -34,20 +34,30 @@ void simulate_block_sort(gpusim::SharedMemory& shm, std::span<word> tile,
 
   // Each thread loads its E consecutive keys from shared into registers
   // (thread t reads addresses tE .. tE+E-1, lock-step across the warp),
-  // sorts them with the odd-even network, and stores them back.
+  // sorts them with the odd-even network, and stores them back.  The
+  // loads and stores touch the same addresses whatever the keys, so they
+  // are priced once per (E, b) and move nothing: the register sort below
+  // pokes the sorted keys.
   std::vector<gpusim::LaneRead> reads;
   std::vector<gpusim::LaneWrite> writes;
   std::vector<word> regs(E);
-  for (u32 warp_start = 0; warp_start < b; warp_start += w) {
-    for (u32 s = 0; s < E; ++s) {
-      reads.clear();
-      for (u32 lane = 0; lane < w && warp_start + lane < b; ++lane) {
-        reads.push_back({lane, static_cast<std::size_t>(warp_start + lane) * E + s});
-      }
-      shm.warp_read(reads);
-    }
-    stats.register_compare_steps += odd_even_comparator_count(E);
-  }
+  shm.oblivious(
+      {"register-sort load", E, b},
+      [&] {
+        for (u32 warp_start = 0; warp_start < b; warp_start += w) {
+          for (u32 s = 0; s < E; ++s) {
+            reads.clear();
+            for (u32 lane = 0; lane < w && warp_start + lane < b; ++lane) {
+              reads.push_back(
+                  {lane, static_cast<std::size_t>(warp_start + lane) * E + s});
+            }
+            shm.warp_read(reads);
+          }
+        }
+      },
+      [] {});
+  stats.register_compare_steps +=
+      ceil_div(b, w) * odd_even_comparator_count(E);
   // Register sort is per-thread; perform it on the backing data.
   for (u32 t = 0; t < b; ++t) {
     const std::size_t base = static_cast<std::size_t>(t) * E;
@@ -58,17 +68,22 @@ void simulate_block_sort(gpusim::SharedMemory& shm, std::span<word> tile,
       shm.poke(base + s, regs[s]);
     }
   }
-  for (u32 warp_start = 0; warp_start < b; warp_start += w) {
-    for (u32 s = 0; s < E; ++s) {
-      writes.clear();
-      for (u32 lane = 0; lane < w && warp_start + lane < b; ++lane) {
-        const std::size_t addr =
-            static_cast<std::size_t>(warp_start + lane) * E + s;
-        writes.push_back({lane, addr, shm.peek(addr)});
-      }
-      shm.warp_write(writes);
-    }
-  }
+  shm.oblivious(
+      {"register-sort store", E, b},
+      [&] {
+        for (u32 warp_start = 0; warp_start < b; warp_start += w) {
+          for (u32 s = 0; s < E; ++s) {
+            writes.clear();
+            for (u32 lane = 0; lane < w && warp_start + lane < b; ++lane) {
+              const std::size_t addr =
+                  static_cast<std::size_t>(warp_start + lane) * E + s;
+              writes.push_back({lane, addr, shm.peek(addr)});
+            }
+            shm.warp_write(writes);
+          }
+        }
+      },
+      [] {});
   // __syncthreads: the merge rounds read other threads' sorted runs.
   shm.barrier();
 

@@ -51,31 +51,41 @@ void Launch::stage_tile(std::span<const word> values) {
   const u32 b = cfg().b;
   const u32 w = cfg().w;
   const std::size_t per_thread = values.size() / b;
-  for (u32 warp_start = 0; warp_start < b; warp_start += w) {
-    for (std::size_t s = 0; s < per_thread; ++s) {
-      writes_.clear();
-      for (u32 lane = 0; lane < w && warp_start + lane < b; ++lane) {
-        const std::size_t addr = warp_start + lane + s * b;
-        writes_.push_back({lane, addr, values[addr]});
-      }
-      shm_.warp_write(writes_);
-    }
-  }
+  shm_.oblivious(
+      {"stage", values.size(), b},
+      [&] {
+        for (u32 warp_start = 0; warp_start < b; warp_start += w) {
+          for (std::size_t s = 0; s < per_thread; ++s) {
+            writes_.clear();
+            for (u32 lane = 0; lane < w && warp_start + lane < b; ++lane) {
+              const std::size_t addr = warp_start + lane + s * b;
+              writes_.push_back({lane, addr, values[addr]});
+            }
+            shm_.warp_write(writes_);
+          }
+        }
+      },
+      [&] { shm_.fill(values.first(per_thread * b)); });
 }
 
 void Launch::unstage_tile(std::span<word> out) {
   const u32 b = cfg().b;
   const u32 w = cfg().w;
   const std::size_t per_thread = out.size() / b;
-  for (u32 warp_start = 0; warp_start < b; warp_start += w) {
-    for (std::size_t s = 0; s < per_thread; ++s) {
-      reads_.clear();
-      for (u32 lane = 0; lane < w && warp_start + lane < b; ++lane) {
-        reads_.push_back({lane, warp_start + lane + s * b});
-      }
-      shm_.warp_read(reads_);
-    }
-  }
+  shm_.oblivious(
+      {"unstage", out.size(), b},
+      [&] {
+        for (u32 warp_start = 0; warp_start < b; warp_start += w) {
+          for (std::size_t s = 0; s < per_thread; ++s) {
+            reads_.clear();
+            for (u32 lane = 0; lane < w && warp_start + lane < b; ++lane) {
+              reads_.push_back({lane, warp_start + lane + s * b});
+            }
+            shm_.warp_read(reads_);
+          }
+        }
+      },
+      [] {});
   for (std::size_t i = 0; i < out.size(); ++i) {
     out[i] = shm_.peek(i);
   }

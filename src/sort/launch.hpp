@@ -19,6 +19,15 @@
 // It also holds the block-level pieces several engines share: coalesced
 // staging (thread t < b touches t, t + b, t + 2b, ...), the merge sorts'
 // block-sort base round, and lane buffers reused across warp steps.
+//
+// Phases whose addresses never depend on the keys are priced once per
+// launch through SharedMemory::oblivious: staging and unstaging here, the
+// register-sort loads and stores (sort/blocksort.cpp), the thread-
+// contiguous merge write-back (sort/block_merge.cpp) and a whole shearsort
+// tile.  The first block runs them on the full path; later blocks of the
+// same shape only move the data and add the kept stats.  While
+// cfg.trace_sink is set or any failpoint is armed every block runs every
+// step.
 
 #include <span>
 #include <string>
@@ -100,10 +109,12 @@ class Launch {
 
   /// Coalesced staging of a tile (values.size() == tile()): thread t < b
   /// stores values[t + s*b] at that address for s = 0, 1, ..., one warp
-  /// step per (warp, s); lanes past thread b - 1 stay masked.
+  /// step per (warp, s); lanes past thread b - 1 stay masked.  Priced once
+  /// per (tile, b); a repeat copies the values in.
   void stage_tile(std::span<const word> values);
-  /// The inverse: the same warp steps as loads, then the tile's shared
-  /// words are copied to `out` (out.size() == tile()).
+  /// The inverse: the same warp steps as loads (priced once per
+  /// (tile, b)), then the tile's shared words are copied to `out`
+  /// (out.size() == tile()).
   void unstage_tile(std::span<word> out);
 
   /// The merge sorts' base case as one round "block-sort": every block

@@ -72,50 +72,45 @@ void column_pass(gpusim::SharedMemory& shm, std::size_t c, std::size_t rows,
   }
 }
 
-/// Stage one tile, shear it until snake-sorted, and unstage in snake
-/// order so the tile leaves row-major ascending.
-void shear_tile(Launch& launch, std::span<word> tile_data,
-                gpusim::KernelStats& stats) {
-  gpusim::SharedMemory& shm = launch.shm();
-  std::vector<gpusim::LaneRead>& reads = launch.reads();
-  std::vector<gpusim::LaneWrite>& writes = launch.writes();
-  const u32 w = launch.cfg().w;
-  const std::size_t tile = tile_data.size();
-  const std::size_t rows = tile / w;
-
-  // Block boundary: one SharedMemory hosts many simulated tiles.
-  shm.barrier();
-
-  // Coalesced load, then thread-linear warp-synchronous staging stores
-  // (thread t stores elements t, t + b, ..., t + (E-1)b; stride-1).
-  stats.global_transactions += tile / w;
-  stats.global_requests += tile;
-  launch.stage_tile(tile_data);
-  // __syncthreads: row/column warps read other warps' staged keys.
-  shm.barrier();
-
-  // ceil(log2 rows) shear iterations, then the final row pass (0-1
-  // principle: each row+column pair halves the dirty rows).
+/// ceil(log2 rows) shear iterations, then the final row pass (0-1
+/// principle: each row+column pair halves the dirty rows).
+u32 shear_iterations(std::size_t rows) {
   u32 iters = 0;
   while ((std::size_t{1} << iters) < rows) {
     ++iters;
   }
+  return iters;
+}
+
+/// The warp steps of one tile: stage, shear until snake-sorted, and
+/// unstage in snake order so the tile leaves row-major ascending.
+void shear_steps(Launch& launch, std::span<word> tile_data) {
+  gpusim::SharedMemory& shm = launch.shm();
+  std::vector<gpusim::LaneRead>& reads = launch.reads();
+  std::vector<gpusim::LaneWrite>& writes = launch.writes();
+  const u32 w = launch.cfg().w;
+  const std::size_t rows = tile_data.size() / w;
+
+  // Thread-linear warp-synchronous staging stores (thread t stores
+  // elements t, t + b, ..., t + (E-1)b; stride-1).
+  launch.stage_tile(tile_data);
+  // __syncthreads: row/column warps read other warps' staged keys.
+  shm.barrier();
+
+  const u32 iters = shear_iterations(rows);
   for (u32 it = 0; it < iters; ++it) {
     for (std::size_t r = 0; r < rows; ++r) {
       row_pass(shm, r, w, reads, writes);
     }
-    stats.warp_merge_steps += rows;
     shm.barrier();
     for (std::size_t c = 0; c < w; ++c) {
       column_pass(shm, c, rows, w, reads, writes);
     }
-    stats.warp_merge_steps += w * ceil_div(rows, w);
     shm.barrier();
   }
   for (std::size_t r = 0; r < rows; ++r) {
     row_pass(shm, r, w, reads, writes);
   }
-  stats.warp_merge_steps += rows;
   shm.barrier();
 
   // Unstage in snake order (odd rows reversed), one warp step per row.
@@ -132,8 +127,31 @@ void shear_tile(Launch& launch, std::span<word> tile_data,
       tile_data[base + lane] = shm.peek(base + col);
     }
   }
-  stats.global_transactions += tile / w;
-  stats.global_requests += tile;
+}
+
+/// Sort one tile on the mesh.  Every address the mesh touches follows from
+/// the tile size and b alone (compare-exchanges move values, never
+/// addresses), so the tile's steps are priced once per launch and a repeat
+/// sorts the keys directly.  The global and merge-step counts are closed
+/// forms of (tile, w, rows) and count for every block.
+void shear_tile(Launch& launch, std::span<word> tile_data,
+                gpusim::KernelStats& stats) {
+  const u32 w = launch.cfg().w;
+  const std::size_t tile = tile_data.size();
+  const std::size_t rows = tile / w;
+  const u32 iters = shear_iterations(rows);
+
+  // Block boundary: one SharedMemory hosts many simulated tiles.
+  launch.shm().barrier();
+  // Coalesced load and store; one merge step per row pass and per column
+  // row-block.
+  stats.global_transactions += 2 * (tile / w);
+  stats.global_requests += 2 * tile;
+  stats.warp_merge_steps += iters * (rows + w * ceil_div(rows, w)) + rows;
+  launch.shm().oblivious(
+      {"shearsort tile", tile, launch.cfg().b},
+      [&] { shear_steps(launch, tile_data); },
+      [&] { std::sort(tile_data.begin(), tile_data.end()); });
 }
 
 }  // namespace

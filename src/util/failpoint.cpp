@@ -1,5 +1,6 @@
 #include "util/failpoint.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdlib>
 #include <functional>
@@ -239,6 +240,16 @@ bool armed(const std::string& name) {
   std::lock_guard<std::mutex> lock(r.mu);
   const auto it = r.points.find(name);
   return it != r.points.end() && it->second.armed;
+}
+
+bool any_armed() {
+  Registry& r = registry();
+  std::lock_guard<std::mutex> lock(r.mu);
+  if (!r.env_checked) {
+    apply_env_locked(r);
+  }
+  return std::any_of(r.points.begin(), r.points.end(),
+                     [](const auto& p) { return p.second.armed; });
 }
 
 std::uint64_t evaluations(const std::string& name) {

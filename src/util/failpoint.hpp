@@ -48,6 +48,11 @@ void reset_counters();
 /// True iff `name` is currently armed.
 [[nodiscard]] bool armed(const std::string& name);
 
+/// True iff any failpoint is armed.  Applies WCM_FAILPOINTS lazily, as
+/// should_fail() does.  The simulator asks once per data-independent
+/// phase whether it must take the full path (gpusim/shared_memory.hpp).
+[[nodiscard]] bool any_armed();
+
 /// Times `name` has been reached (armed or not).
 [[nodiscard]] std::uint64_t evaluations(const std::string& name);
 

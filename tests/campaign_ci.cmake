@@ -86,11 +86,16 @@ run_campaign(5 0 ${CMAKE_COMMAND} -E env WCM_CACHE_SALT=ci-bump
 expect_exit(0 ${CMAKE_COMMAND} -E compare_files
             ${WORKDIR}/ref.json ${WORKDIR}/salted.json)
 
-# 5. Every per-cell trace from a parallel campaign lints clean.
+# 5. Every per-cell trace from a parallel campaign lints clean, and the
+#    traced aggregate (every block on the full path) is byte-identical to
+#    the untraced reference (later blocks reuse their launch's first-block
+#    price of each data-independent phase).
 set(traces ${WORKDIR}/campaign_traces)
 file(REMOVE_RECURSE ${traces})
 run_campaign(5 0 ${WCMGEN} campaign ${spec} --threads 4 --no-cache --quiet
              --trace-dir ${traces} --out ${WORKDIR}/traced.json)
+expect_exit(0 ${CMAKE_COMMAND} -E compare_files
+            ${WORKDIR}/ref.json ${WORKDIR}/traced.json)
 file(GLOB cell_traces ${traces}/*.wcmt)
 list(LENGTH cell_traces n_traces)
 if(NOT n_traces EQUAL 5)

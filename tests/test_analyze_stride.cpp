@@ -315,7 +315,10 @@ TEST(AnalyzeStride, KernelMatchesBothOraclesOnEveryLayout) {
                           gpusim::to_string(layout.kind) + " pad " +
                           std::to_string(layout.pad) + " step";
           for (const auto& [lane, addr] : step.accesses) {
-            s += " " + std::to_string(lane) + ":" + std::to_string(addr);
+            s += ' ';
+            s += std::to_string(lane);
+            s += ':';
+            s += std::to_string(addr);
           }
           return s;
         };

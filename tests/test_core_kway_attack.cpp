@@ -71,9 +71,13 @@ std::vector<Case> grid() {
 
 INSTANTIATE_TEST_SUITE_P(Grid, KWay, ::testing::ValuesIn(grid()),
                          [](const auto& tinfo) {
-                           return "w" + std::to_string(tinfo.param.w) + "_E" +
-                                  std::to_string(tinfo.param.E) + "_K" +
-                                  std::to_string(tinfo.param.ways);
+                           std::string name(1, 'w');
+                           name += std::to_string(tinfo.param.w);
+                           name += "_E";
+                           name += std::to_string(tinfo.param.E);
+                           name += "_K";
+                           name += std::to_string(tinfo.param.ways);
+                           return name;
                          });
 
 TEST(KWayAttack, RejectsWrongRegimeAndShapes) {

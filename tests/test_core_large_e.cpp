@@ -96,8 +96,11 @@ std::vector<Case> all_large_cases() {
 
 INSTANTIATE_TEST_SUITE_P(AllLargeE, LargeE, ::testing::ValuesIn(all_large_cases()),
                          [](const auto& tinfo) {
-                           return "w" + std::to_string(tinfo.param.w) + "_E" +
-                                  std::to_string(tinfo.param.E);
+                           std::string name(1, 'w');
+                           name += std::to_string(tinfo.param.w);
+                           name += "_E";
+                           name += std::to_string(tinfo.param.E);
+                           return name;
                          });
 
 TEST(LargeEConstruction, RejectsWrongRegime) {

@@ -121,6 +121,34 @@ TEST_F(FaultInjectionTest, SimSmemInvariant) {
   EXPECT_THROW((void)shm.warp_read(reads), simulation_error);
 }
 
+// Shared-memory reads keep their fault schedule: an armed failpoint sends
+// every block of a launch down the full path, so a pairwise sort reaches
+// `sim.smem.invariant` as many times as with a recorder attached, and the
+// last of those reads can still be made to fail.
+TEST_F(FaultInjectionTest, SimSmemInvariantScheduleMatchesTheTracedRun) {
+  const sort::SortConfig cfg{5, 64, 32};
+  const auto input = workload::make_input(workload::InputKind::random,
+                                          cfg.tile() * 4, cfg, 1);
+  const auto dev = gpusim::quadro_m4000();
+  gpusim::TraceRecorder recorder;
+  sort::SortConfig traced = cfg;
+  traced.trace_sink = &recorder;
+  const std::uint64_t before = failpoint::evaluations("sim.smem.invariant");
+  (void)sort::pairwise_merge_sort(input, traced, dev);
+  const std::uint64_t n =
+      failpoint::evaluations("sim.smem.invariant") - before;
+  ASSERT_GT(n, 0u);
+  {
+    const failpoint::scoped_arm fp("sim.smem.invariant", n - 1, 1);
+    EXPECT_THROW((void)sort::pairwise_merge_sort(input, cfg, dev),
+                 simulation_error);
+  }
+  {
+    const failpoint::scoped_arm fp("sim.smem.invariant", n, 1);
+    EXPECT_NO_THROW((void)sort::pairwise_merge_sort(input, cfg, dev));
+  }
+}
+
 TEST_F(FaultInjectionTest, SortPairwiseRound) {
   failpoint::scoped_arm fp("sort.pairwise.round");
   EXPECT_THROW(run_pairwise(), simulation_error);

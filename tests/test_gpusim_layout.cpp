@@ -131,6 +131,43 @@ TEST(SharedMemoryPermuted, StrideWBecomesConflictFree) {
   }
 }
 
+// physical() maps a power-of-two w with shifts and masks, and wraps a
+// rotated column with a subtraction at any w; the reference below is the
+// division formula.  Every w in 1..64 is checked, xor at powers of two.
+TEST(SharedLayout, PowerOfTwoMappingMatchesTheDivisionFormula) {
+  const auto reference = [](const SharedLayout& l, std::size_t logical) {
+    const std::size_t row = logical / l.w;
+    const u32 col = static_cast<u32>(logical % l.w);
+    u32 pcol = col;
+    if (l.kind == LayoutKind::xor_swizzle) {
+      pcol = col ^ static_cast<u32>(row % l.w);
+    } else if (l.kind == LayoutKind::rotation) {
+      pcol = (col + static_cast<u32>(row % l.w)) % l.w;
+    }
+    return row * (l.w + l.pad) + pcol;
+  };
+  for (u32 w = 1; w <= 64; ++w) {
+    for (u32 pad = 0; pad <= 3; ++pad) {
+      for (const auto kind : {LayoutKind::linear, LayoutKind::xor_swizzle,
+                              LayoutKind::rotation}) {
+        if (kind == LayoutKind::xor_swizzle && !is_pow2(w)) {
+          continue;
+        }
+        const SharedLayout l{w, pad, kind};
+        for (std::size_t a = 0; a < std::size_t{4} * w * w; ++a) {
+          const std::size_t want = reference(l, a);
+          ASSERT_EQ(l.physical(a), want)
+              << "w=" << w << " pad=" << pad << " " << to_string(kind)
+              << " addr=" << a;
+          ASSERT_EQ(l.bank(a), want % w)
+              << "w=" << w << " pad=" << pad << " " << to_string(kind)
+              << " addr=" << a;
+        }
+      }
+    }
+  }
+}
+
 TEST(SharedLayout, ParseRoundTrip) {
   EXPECT_EQ(parse_layout_kind("linear"), LayoutKind::linear);
   EXPECT_EQ(parse_layout_kind("xor"), LayoutKind::xor_swizzle);

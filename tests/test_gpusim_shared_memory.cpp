@@ -1,10 +1,13 @@
 // Tests for the banked shared memory: values at logical addresses, one
-// priced DMM step per warp access, and the bounds and CREW checks.
+// priced DMM step per warp access, the bounds and CREW checks, and the
+// memo that prices a data-independent phase once.
 
 #include <gtest/gtest.h>
 
 #include "gpusim/shared_memory.hpp"
+#include "gpusim/trace.hpp"
 #include "util/check.hpp"
+#include "util/failpoint.hpp"
 
 namespace wcm::gpusim {
 namespace {
@@ -158,6 +161,137 @@ TEST(SharedMemory, FillAndDump) {
   const std::vector<word> vals{5, 6, 7};
   shm.fill(vals, 8);
   EXPECT_EQ(shm.dump(8, 3), vals);
+}
+
+// The memo of SharedMemory::oblivious.  A phase here reads `lanes` words of
+// bank 0 (addresses 0, 8, 16, ... at w = 8): one step of that degree.
+void read_bank0(SharedMemory& shm, std::size_t lanes) {
+  std::vector<LaneRead> reads;
+  for (u32 lane = 0; lane < lanes; ++lane) {
+    reads.push_back({lane, std::size_t{8} * lane});
+  }
+  shm.warp_read(reads);
+}
+
+struct Phase {
+  SharedMemory* shm;
+  std::size_t lanes;
+  int steps_runs = 0;
+  int move_runs = 0;
+
+  void run(const SharedMemory::PhaseKey& key) {
+    shm->oblivious(
+        key,
+        [&] {
+          ++steps_runs;
+          read_bank0(*shm, lanes);
+        },
+        [&] { ++move_runs; });
+  }
+};
+
+TEST(ObliviousPhase, FirstCallRunsTheSteps) {
+  SharedMemory shm(8, 64);
+  Phase p{&shm, 3};
+  p.run({"load", 3, 0});
+  EXPECT_EQ(p.steps_runs, 1);
+  EXPECT_EQ(p.move_runs, 0);
+  EXPECT_EQ(shm.stats().steps, 1u);
+  EXPECT_EQ(shm.stats().serialization_cycles, 3u);
+}
+
+TEST(ObliviousPhase, RepeatRunsTheMoveAndAddsTheKeptStats) {
+  SharedMemory shm(8, 64);
+  Phase p{&shm, 3};
+  p.run({"load", 3, 0});
+  const dmm::MachineStats once = shm.stats();
+  p.run({"load", 3, 0});
+  p.run({"load", 3, 0});
+  EXPECT_EQ(p.steps_runs, 1);
+  EXPECT_EQ(p.move_runs, 2);
+  EXPECT_EQ(shm.stats().steps, 3 * once.steps);
+  EXPECT_EQ(shm.stats().requests, 3 * once.requests);
+  EXPECT_EQ(shm.stats().serialization_cycles, 3 * once.serialization_cycles);
+  EXPECT_EQ(shm.stats().replays, 3 * once.replays);
+  EXPECT_EQ(shm.stats().conflicting_accesses, 3 * once.conflicting_accesses);
+  EXPECT_EQ(shm.stats().max_bank_degree, 3u);
+}
+
+TEST(ObliviousPhase, DifferentKeyRepricesAndReplacesTheSlot) {
+  SharedMemory shm(8, 64);
+  Phase p{&shm, 3};
+  p.run({"load", 3, 0});
+  p.run({"load", 3, 1});  // another shape of the same phase
+  EXPECT_EQ(p.steps_runs, 2);
+  p.run({"load", 3, 0});  // its slot was replaced: priced again
+  EXPECT_EQ(p.steps_runs, 3);
+  EXPECT_EQ(p.move_runs, 0);
+  Phase q{&shm, 2};
+  q.run({"store", 3, 0});  // another phase has its own slot
+  q.run({"store", 3, 0});
+  p.run({"load", 3, 0});
+  EXPECT_EQ(q.steps_runs, 1);
+  EXPECT_EQ(q.move_runs, 1);
+  EXPECT_EQ(p.steps_runs, 3);
+  EXPECT_EQ(p.move_runs, 1);
+  EXPECT_EQ(shm.stats().steps, 6u);
+}
+
+TEST(ObliviousPhase, RecorderOrArmedFailpointTakesTheFullPath) {
+  SharedMemory shm(8, 64);
+  Phase p{&shm, 3};
+  p.run({"load", 3, 0});
+  TraceRecorder recorder;
+  shm.attach_trace(&recorder);
+  p.run({"load", 3, 0});
+  EXPECT_EQ(p.steps_runs, 2);
+  EXPECT_EQ(recorder.trace().steps.size(), 1u);
+  shm.attach_trace(nullptr);
+  {
+    const failpoint::scoped_arm fp("io.read.open");  // never reached here
+    p.run({"load", 3, 0});
+    EXPECT_EQ(p.steps_runs, 3);
+  }
+  p.run({"load", 3, 0});
+  EXPECT_EQ(p.steps_runs, 3);
+  EXPECT_EQ(p.move_runs, 1);
+  EXPECT_EQ(shm.stats().steps, 4u);
+}
+
+// The kept max_bank_degree is the phase's own, not the running maximum of
+// the block it was priced in.
+TEST(ObliviousPhase, KeptDegreeIsThePhasesOwn) {
+  SharedMemory shm(8, 64);
+  read_bank0(shm, 5);
+  Phase p{&shm, 2};
+  p.run({"load", 2, 0});
+  EXPECT_EQ(shm.stats().max_bank_degree, 5u);  // the running maximum
+  shm.reset_stats();
+  p.run({"load", 2, 0});
+  EXPECT_EQ(p.move_runs, 1);
+  EXPECT_EQ(shm.stats().max_bank_degree, 2u);
+  EXPECT_EQ(shm.stats().steps, 1u);
+}
+
+TEST(ObliviousPhase, ThrowWhilePricingKeepsNothing) {
+  SharedMemory shm(8, 64);
+  read_bank0(shm, 4);
+  int runs = 0;
+  const auto failing = [&] {
+    ++runs;
+    read_bank0(shm, 2);
+    shm.warp_read(std::vector<LaneRead>{{0, 64}});  // out of bounds
+  };
+  EXPECT_THROW(shm.oblivious({"load", 2, 0}, failing, [] {}),
+               simulation_error);
+  // As the full path leaves it: the earlier step plus the priced one.
+  EXPECT_EQ(shm.stats().steps, 2u);
+  EXPECT_EQ(shm.stats().requests, 6u);
+  EXPECT_EQ(shm.stats().serialization_cycles, 6u);
+  EXPECT_EQ(shm.stats().max_bank_degree, 4u);
+  EXPECT_THROW(shm.oblivious({"load", 2, 0}, failing, [] {}),
+               simulation_error);
+  EXPECT_EQ(runs, 2);  // nothing was kept
 }
 
 }  // namespace

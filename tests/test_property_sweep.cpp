@@ -92,8 +92,11 @@ std::vector<GridCase> grid() {
 
 INSTANTIATE_TEST_SUITE_P(AllConfigs, AttackGrid, ::testing::ValuesIn(grid()),
                          [](const auto& tinfo) {
-                           return "E" + std::to_string(tinfo.param.E) + "_b" +
-                                  std::to_string(tinfo.param.b);
+                           std::string name(1, 'E');
+                           name += std::to_string(tinfo.param.E);
+                           name += "_b";
+                           name += std::to_string(tinfo.param.b);
+                           return name;
                          });
 
 // Independent cross-check: replay a constructed warp's access schedule

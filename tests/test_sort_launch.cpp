@@ -1,5 +1,6 @@
 // The tile launcher (sort/launch.hpp) that all six simulated engines build
-// on: the bytes it must keep and the staging it fixed.
+// on: the bytes it must keep, the staging it fixed, and the phases it
+// prices once per launch.
 //
 // tests/golden/sim/engines.txt pins one line per (shape, engine, layout,
 // padding, input) cell, written by the engines as they were before they
@@ -9,12 +10,18 @@
 // max_bank_degree (a running maximum whose window depends on where the
 // stats are reset, read by nothing).  Regenerate only for a change that is
 // meant to move the simulated machine, and say so in CHANGES.md.
+//
+// A recorded cell takes the full path: every warp step of every block is
+// checked and priced.  An untraced cell prices each data-independent phase
+// in its launch's first block only (gpusim::SharedMemory::oblivious), so
+// the golden is read twice, once per path.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -22,6 +29,7 @@
 #include "gpusim/device.hpp"
 #include "gpusim/trace.hpp"
 #include "sort/bitonic.hpp"
+#include "sort/blocksort.hpp"
 #include "sort/engines.hpp"
 #include "sort/launch.hpp"
 #include "sort/multiway.hpp"
@@ -29,6 +37,7 @@
 #include "sort/scan.hpp"
 #include "sort/shearsort.hpp"
 #include "util/error.hpp"
+#include "util/failpoint.hpp"
 #include "util/hash.hpp"
 #include "workload/inputs.hpp"
 
@@ -57,22 +66,53 @@ std::string hex(u64 h) {
   return buf;
 }
 
-/// One golden line: run `engine` ("scan" runs block_scan, the rest go
-/// through the engine table with default knobs) on four tiles of `kind`
-/// input, seed 3, recording its trace.
-std::string cell_line(const std::string& engine, sort::SortConfig cfg,
-                      const gpusim::Device& dev, workload::InputKind kind) {
+/// How a cell runs: recording its trace (the full path), untraced (the
+/// data-independent phases priced once per launch), or untraced with a
+/// failpoint armed that no sort reaches (the full path again).
+enum class Path { traced, memo, armed };
+
+struct CellRun {
+  sort::SortReport report;
+  std::vector<dmm::word> out;
+  gpusim::Trace trace;  // empty unless recorded
+};
+
+/// Run `engine` ("scan" runs block_scan, the rest go through the engine
+/// table with default knobs) on `input` along `path`.
+CellRun run_cell(const std::string& engine, sort::SortConfig cfg,
+                 const gpusim::Device& dev, std::span<const dmm::word> input,
+                 Path path) {
+  gpusim::TraceRecorder recorder;
+  std::optional<failpoint::scoped_arm> armed;
+  if (path == Path::traced) {
+    cfg.trace_sink = &recorder;
+  } else if (path == Path::armed) {
+    armed.emplace("io.read.open");
+  }
+  CellRun run;
+  run.report =
+      engine == "scan"
+          ? sort::block_scan(input, cfg, dev, &run.out)
+          : sort::find_sorting_engine(engine).run(input, cfg, dev, {},
+                                                  &run.out);
+  run.trace = recorder.take();
+  return run;
+}
+
+std::string out_digest(const std::vector<dmm::word>& out) {
+  return hex(fnv1a(fnv_offset_basis, out.data(),
+                   out.size() * sizeof(dmm::word)));
+}
+
+/// One golden line: `engine` on four tiles of `kind` input, seed 3.  The
+/// trace digest is only there when the path records one.
+std::string cell_line(const std::string& engine, const sort::SortConfig& cfg,
+                      const gpusim::Device& dev, workload::InputKind kind,
+                      Path path) {
   const std::size_t n = 4 * cfg.tile();
   const auto input = workload::make_input(kind, n, cfg, 3);
-  gpusim::TraceRecorder recorder;
-  cfg.trace_sink = &recorder;
-  std::vector<dmm::word> out;
-  const sort::SortReport report =
-      engine == "scan"
-          ? sort::block_scan(input, cfg, dev, &out)
-          : sort::find_sorting_engine(engine).run(input, cfg, dev, {}, &out);
-  std::ostringstream trace;
-  gpusim::write_trace(trace, recorder.trace());
+  const CellRun run = run_cell(engine, cfg, dev, input, path);
+  const sort::SortReport& report = run.report;
 
   std::ostringstream os;
   os << engine << " w=" << cfg.w << " b=" << cfg.b << " E=" << cfg.E << ' '
@@ -88,16 +128,19 @@ std::string cell_line(const std::string& engine, sort::SortConfig cfg,
        << " rc=" << k.register_compare_steps << " bl=" << k.blocks_launched
        << " el=" << k.elements_processed << " s=" << seconds(r.modeled_seconds);
   }
-  os << " | total=" << seconds(report.seconds())
-     << " trace=" << hex(fnv1a(trace.str()))
-     << " out=" << hex(fnv1a(fnv_offset_basis, out.data(),
-                             out.size() * sizeof(dmm::word)));
+  os << " | total=" << seconds(report.seconds());
+  if (path == Path::traced) {
+    std::ostringstream trace;
+    gpusim::write_trace(trace, run.trace);
+    os << " trace=" << hex(fnv1a(trace.str()));
+  }
+  os << " out=" << out_digest(run.out);
   return os.str();
 }
 
 /// The whole grid, in file order: 2 shapes x 6 engines x 3 layouts x
 /// 2 paddings x 2 inputs = 144 lines.
-std::vector<std::string> golden_lines() {
+std::vector<std::string> golden_lines(Path path) {
   struct ShapeCell {
     sort::SortConfig cfg;
     gpusim::Device dev;
@@ -119,7 +162,7 @@ std::vector<std::string> golden_lines() {
             sort::SortConfig cfg = shape.cfg;
             cfg.layout = layout;
             cfg.padding = pad;
-            lines.push_back(cell_line(engine, cfg, shape.dev, kind));
+            lines.push_back(cell_line(engine, cfg, shape.dev, kind, path));
           }
         }
       }
@@ -128,6 +171,18 @@ std::vector<std::string> golden_lines() {
   return lines;
 }
 
+/// A golden line without its " trace=<16 hex digits>" field.
+std::string without_trace(std::string line) {
+  const std::size_t at = line.find(" trace=");
+  if (at != std::string::npos) {
+    line.erase(at, 7 + 16);
+  }
+  return line;
+}
+
+// The traced pass reproduces every line byte for byte; the untraced pass,
+// where later blocks reuse their launch's first-block price of every
+// data-independent phase, reproduces every line but the trace digest.
 TEST(SortLaunchGolden, EveryEngineReproducesItsPinnedBytes) {
   std::ifstream is(std::string(WCM_GOLDEN_DIR) + "/sim/engines.txt");
   ASSERT_TRUE(is) << "missing tests/golden/sim/engines.txt";
@@ -135,11 +190,137 @@ TEST(SortLaunchGolden, EveryEngineReproducesItsPinnedBytes) {
   for (std::string line; std::getline(is, line);) {
     want.push_back(line);
   }
-  const std::vector<std::string> got = golden_lines();
-  ASSERT_EQ(got.size(), 144u);
-  ASSERT_EQ(want.size(), got.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i], want[i]) << "cell " << i;
+  ASSERT_EQ(want.size(), 144u);
+  for (const Path path : {Path::traced, Path::memo}) {
+    const std::vector<std::string> got = golden_lines(path);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i], path == Path::traced ? want[i] : without_trace(want[i]))
+          << (path == Path::traced ? "traced" : "untraced") << " cell " << i;
+    }
+  }
+}
+
+/// Every field of every round (each MachineStats with its
+/// max_bank_degree), the modeled seconds, and the output's digest.
+std::string full_line(const CellRun& run) {
+  std::ostringstream os;
+  for (const gpusim::RoundStats& r : run.report.rounds) {
+    const gpusim::KernelStats& k = r.kernel;
+    os << '[' << r.name << "] sh=" << machine(k.shared, true)
+       << " mr=" << machine(k.shared_merge_reads, true)
+       << " se=" << machine(k.shared_search, true)
+       << " gt=" << k.global_transactions << " gr=" << k.global_requests
+       << " bs=" << k.binary_search_steps << " wm=" << k.warp_merge_steps
+       << " rc=" << k.register_compare_steps << " bl=" << k.blocks_launched
+       << " el=" << k.elements_processed << " s=" << seconds(r.modeled_seconds)
+       << " | ";
+  }
+  os << "total=" << seconds(run.report.seconds())
+     << " out=" << out_digest(run.out);
+  return os.str();
+}
+
+// The differential of the once-per-launch pricing: every engine, layout,
+// padding and input gives the same bytes untraced as with a failpoint
+// armed or a recorder attached (both force the full path).  A shape an
+// engine or the input generator refuses must be refused alike.  The golden
+// shapes and a w = 3 shape run on 1, 2 and 4 tiles under both forced
+// paths.  The two perfbench tunings (7,680 and 4,352 keys a tile) run on
+// 2 tiles, a first block and one that reuses its price, against the armed
+// path only: at 4 tiles and with a recorder they would take minutes under
+// the sanitizers.
+TEST(ObliviousPricing, MatchesTheFullPath) {
+  struct ShapeCell {
+    sort::SortConfig cfg;
+    gpusim::Device dev;
+    std::vector<std::size_t> tiles;
+    std::vector<Path> full_paths;
+  };
+  const std::vector<std::size_t> one_two_four{1, 2, 4};
+  const std::vector<Path> both{Path::armed, Path::traced};
+  const ShapeCell shapes[] = {
+      {{5, 64, 32}, gpusim::quadro_m4000(), one_two_four, both},
+      {{3, 8, 4}, gpusim::synthetic_device(4), one_two_four, both},
+      {{5, 8, 3}, gpusim::synthetic_device(3), one_two_four, both},
+      {{15, 512, 32}, gpusim::quadro_m4000(), {2}, {Path::armed}},
+      {{17, 256, 32}, gpusim::rtx_2080ti(), {2}, {Path::armed}},
+  };
+  std::size_t compared = 0;
+  std::size_t refused = 0;
+  for (const ShapeCell& shape : shapes) {
+    for (const char* engine :
+         {"pairwise", "multiway", "bitonic", "radix", "shearsort", "scan"}) {
+      for (const auto layout :
+           {gpusim::LayoutKind::linear, gpusim::LayoutKind::xor_swizzle,
+            gpusim::LayoutKind::rotation}) {
+        for (const u32 pad : {0u, 1u}) {
+          for (const auto kind : {workload::InputKind::random,
+                                  workload::InputKind::worst_case}) {
+            for (const std::size_t tiles : shape.tiles) {
+              sort::SortConfig cfg = shape.cfg;
+              cfg.layout = layout;
+              cfg.padding = pad;
+              const std::string where =
+                  std::string(engine) + " w=" + std::to_string(cfg.w) +
+                  " b=" + std::to_string(cfg.b) + " E=" +
+                  std::to_string(cfg.E) + " " + gpusim::to_string(layout) +
+                  " pad=" + std::to_string(pad) + " " +
+                  workload::to_string(kind) + " tiles=" +
+                  std::to_string(tiles);
+              bool failed = false;
+              const auto line = [&](Path path) -> std::string {
+                try {
+                  const auto input = workload::make_input(
+                      kind, tiles * cfg.tile(), cfg, 3);
+                  return full_line(
+                      run_cell(engine, cfg, shape.dev, input, path));
+                } catch (const error& e) {
+                  failed = true;
+                  return std::string("refused: ") + e.what();
+                }
+              };
+              const std::string memo = line(Path::memo);
+              for (const Path path : shape.full_paths) {
+                EXPECT_EQ(line(path), memo)
+                    << where
+                    << (path == Path::traced ? " (traced)" : " (armed)");
+              }
+              ++(failed ? refused : compared);
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(compared + refused, 3u * 216 + 2u * 72);
+  EXPECT_EQ(compared, 552u);
+}
+
+// The memo lives in the SharedMemory, so a memory reused across block
+// shapes must re-price each phase whose addresses follow from the shape:
+// block sorts of b = 128 and then b = 64 on one memory give what each
+// gives on a fresh one.
+TEST(ObliviousPricing, ReusedMemoryRepricesANewBlockShape) {
+  const auto stats_of = [](gpusim::SharedMemory& shm,
+                           const sort::SortConfig& cfg) {
+    auto tile = workload::random_permutation(cfg.tile(), 5);
+    gpusim::KernelStats stats;
+    shm.reset_stats();
+    sort::simulate_block_sort(shm, tile, cfg, stats);
+    return machine(shm.stats(), true) + " rc=" +
+           std::to_string(stats.register_compare_steps);
+  };
+  const sort::SortConfig wide{5, 128, 32};
+  const sort::SortConfig narrow{5, 64, 32};
+  gpusim::SharedMemory fresh_wide(32, wide.tile());
+  gpusim::SharedMemory fresh_narrow(32, wide.tile());
+  const std::string want_wide = stats_of(fresh_wide, wide);
+  const std::string want_narrow = stats_of(fresh_narrow, narrow);
+  gpusim::SharedMemory shm(32, wide.tile());
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(stats_of(shm, wide), want_wide) << "pass " << i;
+    EXPECT_EQ(stats_of(shm, narrow), want_narrow) << "pass " << i;
   }
 }
 
