@@ -109,7 +109,10 @@ subcommands:
              [--layout linear|xor|rotation] [--E-min n] [--E-max n]
              [--odd-E] [--ways k] [--digit-bits n] [--no-differential]
              [--json]
-  visualize  render one worst-case warp assignment
+  visualize  render one warp's bank matrix: for co-prime 3 <= E < w the
+             worst-case construction with its aligned count, per-step
+             serialization and conflict heatmap; for any other E <= w
+             the sorted-order warp (the paper's Fig. 1)
              --E n [--w n] [--strategy name]
   campaign   expand a JSON grid spec into cells and run them on the
              parallel runtime with result caching, a crash-safe journal,
@@ -449,9 +452,32 @@ int cmd_verify(const cli::Args& a) {
 int cmd_visualize(const cli::Args& a) {
   const u32 w = a.get_u32("w", 16);
   const u32 e = a.get_u32("E", 7);
-  const auto wa = core::worst_case_warp(w, e, core::WarpSide::L,
-                                        strategy_from(a));
-  std::cout << core::render_warp(wa);
+  const auto strategy = strategy_from(a);
+  const auto regime = core::classify_e(w, e);
+  if (regime != core::ERegime::small && regime != core::ERegime::large) {
+    // Sorted order (the Figure 1 situation): every d = gcd(w, E)-th chunk
+    // aligns.
+    const auto wa = core::sorted_order_warp(w, e);
+    std::cout << "Sorted order, w=" << w << ", E=" << e << " (gcd = "
+              << gcd(w, e) << "):\n"
+              << core::render_warp(wa) << "aligned "
+              << core::evaluate_warp(wa, 0).aligned << " of " << w * e
+              << " elements\n\n";
+    return 0;
+  }
+  const auto wa = core::worst_case_warp(w, e, core::WarpSide::L, strategy);
+  const u32 s = core::alignment_window_start(w, e, strategy);
+  const auto eval = core::evaluate_warp(wa, s);
+  std::cout << "Worst-case construction, w=" << w << ", E=" << e << " ("
+            << (regime == core::ERegime::small ? "small" : "large")
+            << " E, window starts at bank " << s << "):\n"
+            << core::render_warp(wa) << "aligned " << eval.aligned << " of "
+            << w * e << " elements; per-step serialization:";
+  for (const auto d : eval.step_degree) {
+    std::cout << ' ' << d;
+  }
+  std::cout << "\n\nconflict heatmap (threads per bank per iteration):\n"
+            << core::render_conflict_heatmap(wa) << "\n";
   return 0;
 }
 

@@ -5,10 +5,6 @@
 
 namespace wcm::core {
 
-u64 predicted_aligned_per_warp(u32 w, u32 E) {
-  return aligned_worst_case(w, E);
-}
-
 double predicted_beta2(u32 w, u32 E) {
   return static_cast<double>(aligned_worst_case(w, E)) / E;
 }

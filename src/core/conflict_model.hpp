@@ -11,10 +11,6 @@
 
 namespace wcm::core {
 
-/// Aligned elements per warp per attacked merge round (both L and R warps
-/// achieve the same count, by symmetry).
-[[nodiscard]] u64 predicted_aligned_per_warp(u32 w, u32 E);
-
 /// Predicted beta_2 (mean merge-read serialization) of a fully attacked
 /// warp-round: one serialized access per aligned element across E steps,
 /// plus one wavefront per step -> 1 + (aligned - E) / E ... simplified to

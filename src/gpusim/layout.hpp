@@ -48,6 +48,10 @@ struct SharedLayout {
   u32 pad = 0;
   LayoutKind kind = LayoutKind::linear;
 
+  /// Throws wcm::config_error unless w >= 1 and, for xor, w is a power of
+  /// two.  SharedMemory and the trace replay check it before pricing.
+  void validate() const;
+
   /// x mod w.  Every priced lane passes through here, so a power-of-two
   /// w (every real warp) takes a mask; any other w keeps the division.
   [[nodiscard]] u32 mod_w(std::size_t x) const noexcept {

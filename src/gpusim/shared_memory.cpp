@@ -13,13 +13,7 @@ SharedMemory::SharedMemory(u32 warp_size, std::size_t words, u32 pad)
 
 SharedMemory::SharedMemory(const SharedLayout& layout, std::size_t words)
     : layout_(layout), mem_(words, word{0}) {
-  WCM_CHECK_CONFIG(layout.w >= 1, "warp size must be positive");
-  // Only the xor permutation needs a power of two: `col ^ (row % w)` is
-  // bijective on [0, w) iff w is a power of two, while the linear and
-  // rotation layouts are plain mod-w arithmetic for any width (the w = 3
-  // describer cross-check runs non-power-of-two warps through here).
-  WCM_CHECK_CONFIG(layout.kind != LayoutKind::xor_swizzle || is_pow2(layout.w),
-                   "the xor layout needs a power-of-two warp size");
+  layout.validate();
   WCM_FAILPOINT("sim.smem.alloc", simulation_error,
                 "injected shared-memory allocation failure");
 }

@@ -20,14 +20,6 @@ KernelStats& KernelStats::operator+=(const KernelStats& o) noexcept {
   return *this;
 }
 
-double mean_serialization(const KernelStats& s) noexcept {
-  if (s.shared.steps == 0) {
-    return 0.0;
-  }
-  return static_cast<double>(s.shared.serialization_cycles) /
-         static_cast<double>(s.shared.steps);
-}
-
 namespace {
 double mean_over_steps(const dmm::MachineStats& m) noexcept {
   if (m.steps == 0) {

@@ -51,9 +51,6 @@ struct RoundStats {
   double modeled_seconds = 0.0;
 };
 
-/// Mean serialization cycles per warp-wide shared access over all accesses.
-[[nodiscard]] double mean_serialization(const KernelStats& s) noexcept;
-
 /// beta_2: mean serialization per lock-step merge read (Karsin et al.
 /// measured ~2.2 on random inputs; the construction drives it to ~E).
 [[nodiscard]] double beta2(const KernelStats& s) noexcept;

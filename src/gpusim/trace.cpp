@@ -103,6 +103,7 @@ template <class Sink>
 void replay(const Trace& trace, const SharedLayout& layout, Sink&& sink) {
   WCM_EXPECTS(layout.w == trace.warp_size,
               "layout bank count must match the trace's warp size");
+  layout.validate();
   std::vector<dmm::Request> step;
   for (const auto& s : trace.steps) {
     if (!s.is_access()) {

@@ -27,20 +27,6 @@ std::string SortConfig::to_string() const {
   return os.str();
 }
 
-SortConfig thrust_params(const gpusim::Device& dev) {
-  if (dev.cc_major <= 5) {
-    return params_15_512();
-  }
-  return params_17_256();
-}
-
-SortConfig mgpu_params(const gpusim::Device& dev) {
-  if (dev.cc_major <= 5) {
-    return params_15_128();
-  }
-  return params_17_256();
-}
-
 SortConfig params_15_512() { return SortConfig{15, 512, 32}; }
 SortConfig params_17_256() { return SortConfig{17, 256, 32}; }
 SortConfig params_15_128() { return SortConfig{15, 128, 32}; }

@@ -6,7 +6,6 @@
 
 #include <string>
 
-#include "gpusim/device.hpp"
 #include "gpusim/layout.hpp"
 #include "util/math.hpp"
 
@@ -57,16 +56,6 @@ struct SortConfig {
 
   [[nodiscard]] std::string to_string() const;
 };
-
-/// Thrust's parameters for the given device, as described in Sec. IV-A:
-/// E=15, b=512 for compute capability 5.x (Quadro M4000); the CUDA 10.1
-/// default of E=17, b=256 (the cc 6.0 tuning) for newer devices such as the
-/// RTX 2080 Ti.
-[[nodiscard]] SortConfig thrust_params(const gpusim::Device& dev);
-
-/// Modern GPU's parameters: E=15, b=128 for cc 5.x; for newer devices the
-/// paper reuses the same two parameter sets as Thrust.
-[[nodiscard]] SortConfig mgpu_params(const gpusim::Device& dev);
 
 /// Named parameter sets used throughout the paper's evaluation.
 [[nodiscard]] SortConfig params_15_512();

@@ -1,7 +1,6 @@
 #include "sort/pairwise_sort.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "mergepath/partition.hpp"
@@ -207,28 +206,6 @@ SortReport pairwise_merge_sort(std::span<const word> input,
   }
 
   return launch.finish(output);
-}
-
-SortReport pairwise_merge_sort_any(std::span<const word> input,
-                                   const SortConfig& cfg,
-                                   const gpusim::Device& dev,
-                                   MergeSortLibrary lib,
-                                   std::vector<word>* output) {
-  cfg.validate();
-  WCM_EXPECTS(!input.empty(), "empty input");
-  const std::size_t tile = cfg.tile();
-  const std::size_t padded = ceil_div(input.size(), tile) * tile;
-
-  std::vector<word> work(input.begin(), input.end());
-  work.resize(padded, std::numeric_limits<word>::max());
-
-  std::vector<word> sorted;
-  SortReport report = pairwise_merge_sort(work, cfg, dev, lib, &sorted);
-  if (output != nullptr) {
-    sorted.resize(input.size());  // sentinels sort to the back
-    *output = std::move(sorted);
-  }
-  return report;
 }
 
 gpusim::ir::KernelDesc describe_pairwise(u32 w, u32 b, u32 pad) {

@@ -49,13 +49,4 @@ enum class MergeSortLibrary { thrust, mgpu };
                                 const gpusim::Device& dev,
                                 MergeSortLibrary lib);
 
-/// Sort an input of arbitrary size: pads to the next multiple of bE with
-/// +infinity sentinels (what the real implementations' edge-tile handling
-/// amounts to), sorts, and strips the sentinels.  The report's `n` is the
-/// padded size; throughput() relative to the padded size.
-[[nodiscard]] SortReport pairwise_merge_sort_any(
-    std::span<const word> input, const SortConfig& cfg,
-    const gpusim::Device& dev, MergeSortLibrary lib = MergeSortLibrary::thrust,
-    std::vector<word>* output = nullptr);
-
 }  // namespace wcm::sort

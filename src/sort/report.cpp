@@ -55,11 +55,9 @@ void SortReport::close_round(const char* engine, std::string name,
 
 void SortReport::reprice(const gpusim::LaunchConfig& launch,
                          const gpusim::Calibration& cal) {
-  totals = {};
   total_time = {};
   for (gpusim::RoundStats& round : rounds) {
     total_time += price(round, device, launch, cal);
-    totals += round.kernel;
   }
 }
 

@@ -47,8 +47,8 @@ struct SortReport {
                    const gpusim::KernelStats& kernel,
                    const gpusim::LaunchConfig& launch,
                    const gpusim::Calibration& cal);
-  /// Re-price every round on this report's device and rebuild totals and
-  /// total_time from the rounds (after a device change or added traffic).
+  /// Re-price every round on this report's device and rebuild total_time
+  /// from the rounds (after a device or library change).
   void reprice(const gpusim::LaunchConfig& launch,
                const gpusim::Calibration& cal);
 };

@@ -140,6 +140,47 @@ TEST(Trace, CrossLayoutRepricing) {
   const auto padded = replay_stats(t, SharedLayout{32, 1});
   EXPECT_EQ(unpadded.replays, 31u);
   EXPECT_EQ(padded.replays, 0u);
+
+  // A recorded block sort replayed under any layout costs exactly what the
+  // live block sort under that layout costs: the memory keeps words at
+  // logical addresses and the layout only prices them.  So a sort run with
+  // `--padding p` or `--layout` answers what one recorded stream would cost
+  // under that layout.
+  for (const wcm::sort::SortConfig cfg :
+       {wcm::sort::SortConfig{5, 64, 32}, wcm::sort::SortConfig{15, 128, 32}}) {
+    // A random tile and the first tile of a two-tile worst-case input.
+    for (const auto kind :
+         {workload::InputKind::random, workload::InputKind::worst_case}) {
+      auto input = workload::make_input(kind, 2 * cfg.tile(), cfg, 9);
+      input.resize(cfg.tile());
+      auto tile = input;  // simulate_block_sort sorts in place
+      SharedMemory shm(cfg.w, cfg.tile());
+      TraceRecorder rec(cfg.w);
+      shm.attach_trace(&rec);
+      KernelStats stats;
+      wcm::sort::simulate_block_sort(shm, tile, cfg, stats);
+      for (const auto layout_kind :
+           {LayoutKind::linear, LayoutKind::xor_swizzle, LayoutKind::rotation}) {
+        for (u32 pad = 0; pad < 4; ++pad) {
+          const SharedLayout layout{cfg.w, pad, layout_kind};
+          tile = input;
+          SharedMemory live(layout, cfg.tile());
+          wcm::sort::simulate_block_sort(live, tile, cfg, stats);
+          const auto replayed = replay_stats(rec.trace(), layout);
+          SCOPED_TRACE(cfg.to_string() + " " + to_string(layout_kind) +
+                       " pad " + std::to_string(pad));
+          EXPECT_EQ(replayed.steps, live.stats().steps);
+          EXPECT_EQ(replayed.requests, live.stats().requests);
+          EXPECT_EQ(replayed.serialization_cycles,
+                    live.stats().serialization_cycles);
+          EXPECT_EQ(replayed.replays, live.stats().replays);
+          EXPECT_EQ(replayed.conflicting_accesses,
+                    live.stats().conflicting_accesses);
+          EXPECT_EQ(replayed.max_bank_degree, live.stats().max_bank_degree);
+        }
+      }
+    }
+  }
 }
 
 TEST(Trace, SerializationRoundTrip) {
@@ -233,6 +274,18 @@ TEST(Trace, ReplayRequiresMatchingWidth) {
   Trace t;
   t.warp_size = 32;
   EXPECT_THROW((void)replay_stats(t, SharedLayout{16, 0}), contract_error);
+
+  // The layout is checked as SharedMemory checks it: at w = 3 the xor map
+  // sends logical words 5 and 8 to one physical word, so it is refused
+  // rather than priced as a broadcast.  Rotation is valid at any width.
+  std::istringstream is("WCMT2 3 9 2\nF 0 9\nR 0:5 1:8\n");
+  const Trace w3 = read_trace(is);
+  EXPECT_THROW(
+      (void)replay_stats(w3, SharedLayout{3, 0, LayoutKind::xor_swizzle}),
+      config_error);
+  EXPECT_EQ(
+      replay_stats(w3, SharedLayout{3, 0, LayoutKind::rotation}).requests,
+      2u);
 }
 
 }  // namespace

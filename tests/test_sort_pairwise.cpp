@@ -158,25 +158,6 @@ TEST(CpuReference, PartialRoundsProgressTowardSorted) {
   EXPECT_EQ(after3, std_sort(input));
 }
 
-TEST(PairwiseSortAny, PadsAndStripsSentinels) {
-  const SortConfig cfg = tiny();
-  const auto dev = gpusim::quadro_m4000();
-  for (const std::size_t n :
-       {std::size_t{1}, cfg.tile() - 1, cfg.tile() + 1, cfg.tile() * 3 + 7}) {
-    const auto input = workload::random_permutation(n, n);
-    std::vector<word> out;
-    const auto report = pairwise_merge_sort_any(input, cfg, dev,
-                                                MergeSortLibrary::thrust,
-                                                &out);
-    EXPECT_EQ(out, std_sort(input)) << "n=" << n;
-    EXPECT_EQ(report.n % cfg.tile(), 0u);
-    EXPECT_GE(report.n, n);
-  }
-  EXPECT_THROW(
-      (void)pairwise_merge_sort_any(std::vector<word>{}, cfg, dev),
-      contract_error);
-}
-
 TEST(SyntheticDevice, ParameterScaling) {
   const auto d16 = gpusim::synthetic_device(16);
   EXPECT_EQ(d16.warp_size, 16u);

@@ -8,7 +8,9 @@ if(NOT DEFINED WCMGEN OR NOT DEFINED WORKDIR)
   message(FATAL_ERROR "pass -DWCMGEN=<binary> -DWORKDIR=<dir>")
 endif()
 
-function(expect_exit code)
+# Exit `code` and print `needle` somewhere on stdout (ctest's
+# PASS_REGULAR_EXPRESSION alone would ignore the exit code).
+function(expect_prints code needle)
   execute_process(COMMAND ${ARGN}
                   RESULT_VARIABLE rv
                   OUTPUT_VARIABLE out
@@ -18,6 +20,15 @@ function(expect_exit code)
       "expected exit ${code}, got '${rv}' for: ${ARGN}\n"
       "stdout: ${out}\nstderr: ${err}")
   endif()
+  string(FIND "${out}" "${needle}" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "'${needle}' missing from stdout of: ${ARGN}\n"
+                        "stdout: ${out}")
+  endif()
+endfunction()
+
+function(expect_exit code)
+  expect_prints(${code} "" ${ARGN})
 endfunction()
 
 # usage errors -> 2
@@ -86,6 +97,16 @@ expect_exit(4 ${WCMGEN} sort --E 5 --b 32 --w 32)   # b < 2w
 expect_exit(4 ${WCMGEN} sort --E 5 --b 63)          # b not a power of two
 expect_exit(4 ${WCMGEN} sort --E 5 --b 64 --k 1 --algorithm multiway
             --ways 1)                                # the engine's shape rule
+
+# visualize: a co-prime E renders the worst-case construction, any other
+# E <= w the sorted-order warp of Fig. 1; E > w has neither -> 4
+expect_prints(0 "aligned 80 of 144 elements; per-step serialization: 8 9 9 9 9 9 9 9 9\n\nconflict heatmap"
+              ${WCMGEN} visualize --E 9 --w 16)
+expect_prints(0 "Sorted order, w=16, E=12 (gcd = 4):\n"
+              ${WCMGEN} visualize --E 12 --w 16)
+expect_prints(0 "aligned 48 of 192 elements\n"
+              ${WCMGEN} visualize --E 12 --w 16)
+expect_exit(4 ${WCMGEN} visualize --E 17 --w 16)
 
 # bad input file -> 3
 expect_exit(3 ${WCMGEN} inspect --in ${WORKDIR}/definitely-missing.wcmi)

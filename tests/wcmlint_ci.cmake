@@ -1,17 +1,15 @@
-# Lint gate for every sort engine (ISSUE acceptance): record shared-memory
-# traces from blocksort, pairwise, multiway, bitonic, and radix on random
+# Lint gate for every sort engine: record shared-memory traces from
+# blocksort, pairwise, multiway, bitonic, radix, and shearsort on random
 # and adversarial inputs — small-E (5) and large-E (17) — and require
 # `wcmgen analyze` to report zero diagnostics (races, bounds, uninitialized
 # reads, and stride-prediction divergence are all errors).  A seeded-race
-# fixture must exit 1 and a corrupt stream must exit 3, proving the gate
-# can actually fail.
+# fixture must exit 1, a corrupt stream must exit 3 and an xor layout over
+# a non-power-of-two warp must exit 4, proving the gate can actually fail.
 #
-# Run as:  cmake -DWCMGEN=<bin> -DTRACE_EXPLORER=<bin> -DWORKDIR=<dir>
-#                -P wcmlint_ci.cmake
+# Run as:  cmake -DWCMGEN=<bin> -DWORKDIR=<dir> -P wcmlint_ci.cmake
 
-if(NOT DEFINED WCMGEN OR NOT DEFINED TRACE_EXPLORER OR NOT DEFINED WORKDIR)
-  message(FATAL_ERROR
-    "pass -DWCMGEN=<bin> -DTRACE_EXPLORER=<bin> -DWORKDIR=<dir>")
+if(NOT DEFINED WCMGEN OR NOT DEFINED WORKDIR)
+  message(FATAL_ERROR "pass -DWCMGEN=<bin> -DWORKDIR=<dir>")
 endif()
 
 file(MAKE_DIRECTORY ${WORKDIR})
@@ -66,14 +64,25 @@ lint_clean(rx_small_rand --E 5 --b 64 --k 1 --algorithm radix
 lint_clean(rx_small_adv  --E 5 --b 64 --k 1 --algorithm radix
            --input sorted)
 
-# Standalone blocksort capture via trace_explorer (adversarial tile).
-execute_process(COMMAND ${TRACE_EXPLORER} 5 64 ${WORKDIR}/blocksort.wcmt
-                RESULT_VARIABLE rv OUTPUT_QUIET ERROR_VARIABLE err)
-if(NOT rv EQUAL 0)
-  message(FATAL_ERROR "trace_explorer failed: ${err}")
-endif()
-expect_exit(0 ${WCMGEN} analyze ${WORKDIR}/blocksort.wcmt)
-file(REMOVE ${WORKDIR}/blocksort.wcmt)
+# Shearsort engine: random and adversarial (the latter recorded under
+# xor), small-E and large-E.
+lint_clean(ss_small_rand --E 5 --b 64 --k 2 --algorithm shearsort
+           --input random --seed 3)
+lint_clean(ss_small_adv  --E 5 --b 64 --k 2 --algorithm shearsort
+           --input worst-case --layout xor)
+lint_clean(ss_large_adv  --E 17 --b 256 --k 1 --algorithm shearsort
+           --input worst-case)
+
+# Standalone blocksort capture: one tile (k = 0) is one block sort.
+lint_clean(blocksort --E 5 --b 64 --k 0 --input random --seed 9)
+
+# A w = 3 trace in which logical words 5 and 8 share a physical word under
+# xor: the layout is refused (exit 4), not priced as a broadcast, while
+# rotation is valid at any width.
+file(WRITE ${WORKDIR}/w3.wcmt "WCMT2 3 9 2\nF 0 9\nR 0:5 1:8\n")
+expect_exit(4 ${WCMGEN} analyze --layout xor ${WORKDIR}/w3.wcmt)
+expect_exit(0 ${WCMGEN} analyze --layout rotation ${WORKDIR}/w3.wcmt)
+file(REMOVE ${WORKDIR}/w3.wcmt)
 
 # Seeded race: a store and a load of the same address by different lanes
 # with no intervening barrier must be flagged (exit 1).

@@ -1,8 +1,9 @@
 // Real-GPU validation harness (NOT built by this repository's CMake — it
 // requires nvcc and a CUDA device; everything else in the repo runs on the
-// simulator).  Feed it WCMI files produced by `adversarial_bank` or
-// `wcmgen generate --out`, and it times thrust::sort on them, reproducing
-// the paper's measurement protocol (10 runs, cudaEvent timing):
+// simulator).  Feed it WCMI files produced by `wcmgen generate --seed 0`
+// (README "Quickstart" loops it over every configuration), and it times
+// thrust::sort on them, reproducing the paper's measurement protocol
+// (10 runs, cudaEvent timing):
 //
 //   nvcc -O3 -o thrust_harness thrust_harness.cu
 //   ./thrust_harness worst_E15_b512_n*.wcmi [more.wcmi ...]
