@@ -1,8 +1,20 @@
 #include "analysis/series.hpp"
 
+#include "sort/report.hpp"
 #include "util/check.hpp"
 
 namespace wcm::analysis {
+
+SeriesPoint point_of(const sort::SortReport& report) {
+  SeriesPoint p;
+  p.n = report.n;
+  p.throughput = report.throughput();
+  p.seconds = report.seconds();
+  p.conflicts_per_elem = report.conflicts_per_element();
+  p.beta1 = report.beta1();
+  p.beta2 = report.beta2();
+  return p;
+}
 
 double slowdown_percent(double fast_seconds, double slow_seconds) {
   WCM_EXPECTS(fast_seconds > 0.0, "baseline time must be positive");

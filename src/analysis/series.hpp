@@ -6,16 +6,27 @@
 
 #include "util/math.hpp"
 
+namespace wcm::sort {
+struct SortReport;  // sort/report.hpp
+}  // namespace wcm::sort
+
 namespace wcm::analysis {
 
-/// One measured point of a throughput curve.
+/// One measured point of a throughput curve: the flat numbers the figures
+/// plot, and the value the campaign's WCMC cache and WCMJ journal store.
 struct SeriesPoint {
   std::size_t n = 0;
   double throughput = 0.0;       ///< elements per second
   double seconds = 0.0;          ///< modeled time
   double conflicts_per_elem = 0.0;
+  double beta1 = 0.0;
   double beta2 = 0.0;
+
+  bool operator==(const SeriesPoint&) const = default;
 };
+
+/// The point a simulated sort contributes to its curve.
+[[nodiscard]] SeriesPoint point_of(const sort::SortReport& report);
 
 /// Slowdown of `slow` relative to `fast` at one size:
 /// (T_slow - T_fast) / T_fast, in percent.

@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <ostream>
+#include <sstream>
 
 #include "util/error.hpp"
 
@@ -12,11 +13,11 @@ int run_lint(const std::vector<std::string>& files,
              std::ostream& err) {
   bool any_findings = false;
   bool any_bad_file = false;
+  // The JSON array is written only once every trace is analyzed, so an
+  // analysis that throws leaves no partial array on `out`.
+  std::ostringstream json;
+  json << "[";
   bool first_json = true;
-
-  if (options.json) {
-    out << "[";
-  }
   for (const std::string& file : files) {
     gpusim::Trace trace;
     try {
@@ -37,16 +38,16 @@ int run_lint(const std::vector<std::string>& files,
     any_findings = any_findings || !report.clean();
     if (options.json) {
       if (!first_json) {
-        out << ',';
+        json << ',';
       }
       first_json = false;
-      render_json(out, report, file);
+      render_json(json, report, file);
     } else {
       render_text(out, report, file);
     }
   }
   if (options.json) {
-    out << "]\n";
+    out << json.str() << "]\n";
   }
 
   if (any_bad_file) {

@@ -83,6 +83,7 @@ struct MachineStats {
   /// the counts subtract, max_bank_degree stays this side's running maximum.
   [[nodiscard]] MachineStats operator-(
       const MachineStats& before) const noexcept;
+  bool operator==(const MachineStats& o) const noexcept = default;
 };
 
 /// Analyze one synchronous step on a machine with `num_banks` modules.

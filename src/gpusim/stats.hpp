@@ -42,6 +42,7 @@ struct KernelStats {
   std::size_t elements_processed = 0;
 
   KernelStats& operator+=(const KernelStats& o) noexcept;
+  bool operator==(const KernelStats& o) const noexcept = default;
 };
 
 /// A named kernel's stats (e.g. "block-sort", "round 3 partition").

@@ -25,21 +25,21 @@ constexpr const char* kResultFormat = "wcmc-metrics-1";
 
 }  // namespace
 
-void put_metrics(framed::Writer& out, const CellMetrics& m) {
-  out.put(m.n);
+void put_metrics(framed::Writer& out, const analysis::SeriesPoint& m) {
+  out.put(static_cast<u64>(m.n));
   out.put(m.seconds);
   out.put(m.throughput);
-  out.put(m.conflicts_per_element);
+  out.put(m.conflicts_per_elem);
   out.put(m.beta1);
   out.put(m.beta2);
 }
 
-CellMetrics get_metrics(framed::Reader& in) {
-  CellMetrics m;
-  m.n = in.get<u64>("record n");
+analysis::SeriesPoint get_metrics(framed::Reader& in) {
+  analysis::SeriesPoint m;
+  m.n = static_cast<std::size_t>(in.get<u64>("record n"));
   m.seconds = in.get<double>("record seconds");
   m.throughput = in.get<double>("record throughput");
-  m.conflicts_per_element = in.get<double>("record conflicts");
+  m.conflicts_per_elem = in.get<double>("record conflicts");
   m.beta1 = in.get<double>("record beta1");
   m.beta2 = in.get<double>("record beta2");
   return m;
@@ -94,7 +94,7 @@ void ResultCache::evict_over_cap() {
   }
 }
 
-std::optional<CellMetrics> ResultCache::lookup(u64 key) const {
+std::optional<analysis::SeriesPoint> ResultCache::lookup(u64 key) const {
   const auto it = entries_.find(key);
   if (telemetry::enabled()) {
     // Register both counters up front so a snapshot always carries a hit
@@ -111,7 +111,7 @@ std::optional<CellMetrics> ResultCache::lookup(u64 key) const {
   return it->second;
 }
 
-void ResultCache::insert(u64 key, const CellMetrics& metrics) {
+void ResultCache::insert(u64 key, const analysis::SeriesPoint& metrics) {
   const auto [it, admitted] = entries_.insert_or_assign(key, metrics);
   if (!admitted) {
     lru_.touch(key);  // overwrite of a live entry refreshes it
@@ -134,7 +134,7 @@ ResultCache ResultCache::load(const std::filesystem::path& path, u64 salt) {
   WCM_FAILPOINT("runtime.cache.load", io_error,
                 "injected cache read failure");
   u64 file_salt = 0;
-  std::map<u64, CellMetrics> entries;
+  std::map<u64, analysis::SeriesPoint> entries;
   try {
     framed::Reader in(kMagic, path);
     in.magic();

@@ -5,13 +5,13 @@
 // (engine, library, E/b/w/pad, input kind, k/n, derived seed, device, ...)
 // salted with the code-version salt, so a cache survives re-runs of the
 // same grid but a change to either the cell or the code addresses a
-// different slot.  Values are the flat per-cell metrics the campaign
-// aggregates (runtime does not cache full SortReports: the metrics are
-// what the figures plot, and they keep the file a few dozen bytes per
-// cell).
+// different slot.  Values are the cell's analysis::SeriesPoint, the flat
+// numbers the campaign aggregates (runtime does not cache full
+// SortReports: the point is what the figures plot, and it keeps the file
+// a few dozen bytes per cell).
 //
 // On disk a WCMC file (docs/RUNTIME.md) is a util/framed.hpp file of the
-// salt, a record count and (key, CellMetrics) records.  load() discards a
+// salt, a record count and (key, SeriesPoint) records.  load() discards a
 // file whose salt differs from the current salt (that is the invalidation
 // mechanism: bump the salt, every entry misses) and throws wcm::io_error
 // on a corrupt file.
@@ -22,6 +22,7 @@
 #include <optional>
 #include <string>
 
+#include "analysis/series.hpp"
 #include "runtime/lru.hpp"
 #include "util/error.hpp"
 #include "util/framed.hpp"
@@ -56,21 +57,10 @@ namespace wcm::runtime {
 /// `runtime.cache.store_failed` counter — and carries on.
 void warn_store_failed(const std::filesystem::path& path, const io_error& e);
 
-/// Flat metrics of one computed campaign cell.
-struct CellMetrics {
-  u64 n = 0;
-  double seconds = 0.0;
-  double throughput = 0.0;
-  double conflicts_per_element = 0.0;
-  double beta1 = 0.0;
-  double beta2 = 0.0;
-
-  bool operator==(const CellMetrics&) const = default;
-};
-
-/// CellMetrics' 48-byte record layout, shared by WCMC and WCMJ records.
-void put_metrics(framed::Writer& out, const CellMetrics& m);
-[[nodiscard]] CellMetrics get_metrics(framed::Reader& in);
+/// A cell's 48-byte record, shared by WCMC and WCMJ records: n (8 bytes),
+/// seconds, throughput, conflicts, beta1, beta2.
+void put_metrics(framed::Writer& out, const analysis::SeriesPoint& m);
+[[nodiscard]] analysis::SeriesPoint get_metrics(framed::Reader& in);
 
 /// Hard cap on records in a WCMC file; load() rejects larger counts as
 /// corrupt before allocating (same defense as WCMI's max_wcmi_keys).
@@ -106,8 +96,8 @@ class ResultCache {
   /// space (folds the salt first, then the string).
   [[nodiscard]] u64 key_of(const std::string& canonical_config) const noexcept;
 
-  [[nodiscard]] std::optional<CellMetrics> lookup(u64 key) const;
-  void insert(u64 key, const CellMetrics& metrics);
+  [[nodiscard]] std::optional<analysis::SeriesPoint> lookup(u64 key) const;
+  void insert(u64 key, const analysis::SeriesPoint& metrics);
 
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
   [[nodiscard]] u64 salt() const noexcept { return salt_; }
@@ -129,7 +119,7 @@ class ResultCache {
 
   u64 salt_;
   u64 max_entries_ = 0;  // 0 = unbounded
-  std::map<u64, CellMetrics> entries_;  // ordered -> deterministic files
+  std::map<u64, analysis::SeriesPoint> entries_;  // ordered -> stable files
   // Recency bookkeeping (runtime/lru.hpp, shared with the serve-layer
   // response cache); mutable so a const lookup() can refresh the entry it
   // just served.

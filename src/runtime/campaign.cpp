@@ -27,6 +27,16 @@ namespace wcm::runtime {
 
 namespace {
 
+/// Overwrite `out` from environment variable `name` when it is set.
+void env_u32(const char* name, u32& out) {
+  // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only env probe; nothing
+  // in the process calls setenv.
+  const char* v = std::getenv(name);
+  if (v != nullptr && *v != '\0') {
+    out = static_cast<u32>(std::stoul(v));
+  }
+}
+
 /// Hard cap on expanded cells: a typo'd spec must not OOM the host.
 constexpr std::size_t kMaxCells = 1u << 20;
 constexpr u32 kMaxK = 40;
@@ -118,28 +128,18 @@ GridEntry entry_from(const json::Value& v) {
   return e;
 }
 
-CellMetrics metrics_of(const sort::SortReport& report) {
-  CellMetrics m;
-  m.n = report.n;
-  m.seconds = report.seconds();
-  m.throughput = report.throughput();
-  m.conflicts_per_element = report.conflicts_per_element();
-  m.beta1 = report.beta1();
-  m.beta2 = report.beta2();
-  return m;
-}
-
 /// Compute one cell.  `recorder` non-null = capture the cell's
 /// shared-memory trace for `wcmgen analyze`.
-CellMetrics compute_cell(const CampaignCell& cell, const gpusim::Device& dev,
-                         gpusim::TraceRecorder* recorder) {
+analysis::SeriesPoint compute_cell(const CampaignCell& cell,
+                                   const gpusim::Device& dev,
+                                   gpusim::TraceRecorder* recorder) {
   // Inputs are generated trace-free: the recorded WCMT must contain only
   // the sort's own access stream, not the adversarial generator's.
   const auto input =
       workload::make_input(cell.input, cell.n, cell.config, cell.seed);
   sort::SortConfig cfg = cell.config;
   cfg.trace_sink = recorder;
-  return metrics_of(cell.engine->run(input, cfg, dev, cell.knobs));
+  return analysis::point_of(cell.engine->run(input, cfg, dev, cell.knobs));
 }
 
 /// Base label shared by every size of one curve (everything but input/k).
@@ -163,7 +163,7 @@ std::string base_label(const CampaignCell& cell) {
 struct CellRun {
   CampaignCell cell;
   u64 key = 0;
-  CellMetrics metrics;
+  analysis::SeriesPoint metrics;
   bool cached = false;
   bool replayed = false;  ///< restored from the journal
   bool have = false;      ///< metrics are valid (cached/replayed/computed)
@@ -197,7 +197,7 @@ void write_aggregate_json(std::ostream& os, const CampaignSpec& spec,
        << ",\"seed\":" << r.cell.seed
        << ",\"n\":" << r.metrics.n << ",\"seconds\":" << r.metrics.seconds
        << ",\"throughput\":" << r.metrics.throughput
-       << ",\"conflicts_per_element\":" << r.metrics.conflicts_per_element
+       << ",\"conflicts_per_element\":" << r.metrics.conflicts_per_elem
        << ",\"beta1\":" << r.metrics.beta1
        << ",\"beta2\":" << r.metrics.beta2 << "}";
   }
@@ -212,13 +212,8 @@ void write_aggregate_json(std::ostream& os, const CampaignSpec& spec,
     if (!r.have) {
       continue;
     }
-    analysis::SeriesPoint p;
-    p.n = static_cast<std::size_t>(r.metrics.n);
-    p.throughput = r.metrics.throughput;
-    p.seconds = r.metrics.seconds;
-    p.conflicts_per_elem = r.metrics.conflicts_per_element;
-    p.beta2 = r.metrics.beta2;
-    curves[base_label(r.cell)][workload::to_string(r.cell.input)].push_back(p);
+    curves[base_label(r.cell)][workload::to_string(r.cell.input)].push_back(
+        r.metrics);
   }
   os << ",\"series\":[";
   bool first = true;
@@ -458,7 +453,7 @@ CampaignOutcome run_campaign(const CampaignSpec& spec,
   if (journaling && options.resume) {
     replay = replay_journal(options.journal_path, salt, fingerprint);
   }
-  std::map<u64, CellMetrics> journaled;
+  std::map<u64, analysis::SeriesPoint> journaled;
   if (replay.compatible) {
     for (const auto& rec : replay.records) {
       journaled[rec.key] = rec.metrics;
@@ -564,7 +559,7 @@ CampaignOutcome run_campaign(const CampaignSpec& spec,
           gpusim::TraceRecorder recorder;
           gpusim::TraceRecorder* sink =
               trace_dir.empty() ? nullptr : &recorder;
-          const CellMetrics metrics =
+          const analysis::SeriesPoint metrics =
               compute_cell(runs[idx].cell, spec.device, sink);
           if (sink != nullptr) {
             std::ostringstream name;
@@ -665,8 +660,15 @@ CampaignOutcome run_campaign(const CampaignSpec& spec,
   return outcome;
 }
 
-std::vector<std::vector<analysis::SeriesPoint>> run_sweeps(
-    const std::vector<analysis::SweepSpec>& specs, u32 threads) {
+void apply_env_overrides(SweepSpec& spec) {
+  env_u32("WCM_MIN_K", spec.min_k);
+  env_u32("WCM_MAX_K", spec.max_k);
+  WCM_EXPECTS(spec.min_k >= 1 && spec.min_k <= spec.max_k,
+              "WCM_MIN_K / WCM_MAX_K out of range");
+}
+
+std::vector<std::vector<sort::SortReport>> run_sweeps(
+    const std::vector<SweepSpec>& specs, u32 threads) {
   WCM_SPAN("campaign.sweeps");
   if (specs.empty()) {
     return {};
@@ -692,32 +694,20 @@ std::vector<std::vector<analysis::SeriesPoint>> run_sweeps(
                                        first.config.shared_bytes())),
       static_cast<u32>(cells.size()));
 
-  const auto points = parallel_map(
-      cells.size(), workers, [&](std::size_t i) {
-        const auto& spec = specs[cells[i].spec_index];
-        const u32 k = cells[i].k;
-        // Same sizes and seeds as the serial analysis::run_sweep, so the
-        // ported benches print identical numbers.
-        const std::size_t n = spec.config.tile() << k;
-        const auto input =
-            workload::make_input(spec.input, n, spec.config, spec.seed + k);
-        const auto report = sort::pairwise_merge_sort(input, spec.config,
-                                                      spec.device,
-                                                      spec.library);
-        analysis::SeriesPoint p;
-        p.n = n;
-        p.throughput = report.throughput();
-        p.seconds = report.seconds();
-        p.conflicts_per_elem = report.conflicts_per_element();
-        p.beta2 = report.beta2();
-        return p;
-      });
+  auto reports = parallel_map(cells.size(), workers, [&](std::size_t i) {
+    const auto& spec = specs[cells[i].spec_index];
+    const u32 k = cells[i].k;
+    const auto input = workload::make_input(
+        spec.input, spec.config.tile() << k, spec.config, spec.seed + k);
+    return sort::pairwise_merge_sort(input, spec.config, spec.device,
+                                     spec.library);
+  });
 
-  std::vector<std::vector<analysis::SeriesPoint>> series(specs.size());
+  std::vector<std::vector<sort::SortReport>> sweeps(specs.size());
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    series[cells[i].spec_index].push_back(points[i]);
+    sweeps[cells[i].spec_index].push_back(std::move(reports[i]));
   }
-  return series;
+  return sweeps;
 }
 
 }  // namespace wcm::runtime

@@ -14,16 +14,21 @@
 //
 // The campaign JSON grammar and the WCMC cache format are documented in
 // docs/RUNTIME.md.
+//
+// run_sweeps, at the end, is the figure benches' sweep: no cache or
+// journal, seeds seed + k, and each cell's full sort::SortReport, so a
+// bench can re-price one run for another library (sort::recost).
 
 #include <filesystem>
 #include <iosfwd>
 #include <string>
 #include <vector>
 
-#include "analysis/experiment.hpp"
+#include "analysis/series.hpp"
 #include "runtime/cache.hpp"
 #include "runtime/retry.hpp"
 #include "sort/engines.hpp"
+#include "sort/pairwise_sort.hpp"
 #include "workload/inputs.hpp"
 
 namespace wcm::runtime {
@@ -155,12 +160,28 @@ struct CampaignOutcome {
 [[nodiscard]] CampaignOutcome run_campaign(const CampaignSpec& spec,
                                            const CampaignOptions& options);
 
-/// Run several figure sweeps concurrently (one job per (sweep, size) cell)
-/// and return each sweep's series in input order.  Seeds match
-/// analysis::run_sweep exactly, so a ported bench prints the same numbers
-/// as its serial ancestor.  `threads` 0 = WCM_THREADS env, else
-/// device-aware auto.
-[[nodiscard]] std::vector<std::vector<analysis::SeriesPoint>> run_sweeps(
-    const std::vector<analysis::SweepSpec>& specs, u32 threads = 0);
+/// One curve of a figure bench: a pairwise merge sort of one (device,
+/// library, config, input kind) at sizes n = bE * 2^k, k = min_k..max_k.
+struct SweepSpec {
+  gpusim::Device device;
+  sort::SortConfig config;
+  sort::MergeSortLibrary library = sort::MergeSortLibrary::thrust;
+  workload::InputKind input = workload::InputKind::random;
+  u32 min_k = 1;  ///< smallest size: bE * 2^min_k
+  u32 max_k = 8;  ///< largest size: bE * 2^max_k
+  u64 seed = 1;   ///< size k's input is seeded with seed + k
+};
+
+/// Clamp a sweep's k range from the environment (WCM_MIN_K / WCM_MAX_K).
+void apply_env_overrides(SweepSpec& spec);
+
+/// Simulate every (sweep, k) cell of the figure benches, one job per cell
+/// on the runtime scheduler, and return each cell's report: one vector per
+/// spec in input order, one report per k in k order.  Cell k sorts
+/// workload::make_input(input, tile() << k, config, seed + k), so the
+/// reports do not depend on `threads` (0 = WCM_THREADS env, else
+/// device-aware auto).
+[[nodiscard]] std::vector<std::vector<sort::SortReport>> run_sweeps(
+    const std::vector<SweepSpec>& specs, u32 threads = 0);
 
 }  // namespace wcm::runtime

@@ -18,7 +18,7 @@ namespace {
 constexpr std::string_view kMagic = "WCMJ";
 constexpr std::size_t kHeaderBytes = 4 + 4 + 8 + 8 + 8;
 constexpr std::size_t kHeaderFields = 8 + 8;  // salt + fingerprint
-constexpr std::size_t kPayloadBytes = 8 + 8 + 5 * 8;  // key + CellMetrics
+constexpr std::size_t kPayloadBytes = 8 + 8 + 5 * 8;  // key + SeriesPoint
 
 }  // namespace
 
@@ -137,7 +137,7 @@ JournalWriter::JournalWriter(std::filesystem::path path, u64 salt,
   chain_ = header.hash();
 }
 
-void JournalWriter::append(u64 key, const CellMetrics& metrics) {
+void JournalWriter::append(u64 key, const analysis::SeriesPoint& metrics) {
   WCM_FAILPOINT("runtime.journal.append", io_error,
                 "injected journal append failure: " + path_.string());
   framed::Writer record(chain_);

@@ -13,7 +13,7 @@
 // On disk a WCMJ file (docs/RUNTIME.md) is a util/framed.hpp file of the
 // salt, the campaign_fingerprint() and a header_sum (the running hash of
 // the bytes before it, chained on like any field), then 64-byte (key,
-// CellMetrics) records, each sealed by the running hash of every byte
+// SeriesPoint) records, each sealed by the running hash of every byte
 // before it, earlier seals excluded: a flipped byte anywhere invalidates
 // that record and every later one.
 //
@@ -60,7 +60,7 @@ inline constexpr u64 max_wcmj_records = u64{1} << 24;
 
 struct JournalRecord {
   u64 key = 0;
-  CellMetrics metrics;
+  analysis::SeriesPoint metrics;
 };
 
 /// Result of replaying a journal file.
@@ -98,7 +98,7 @@ class JournalWriter {
 
   /// Append one sealed record and flush.  Throws wcm::io_error on write
   /// failure (also the "runtime.journal.append" failpoint).
-  void append(u64 key, const CellMetrics& metrics);
+  void append(u64 key, const analysis::SeriesPoint& metrics);
 
   [[nodiscard]] const std::filesystem::path& path() const noexcept {
     return path_;

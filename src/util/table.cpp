@@ -79,12 +79,22 @@ void Table::print(std::ostream& os) const {
 void Table::write_csv(std::ostream& os) const {
   auto emit = [&](const std::vector<std::string>& cells) {
     for (std::size_t c = 0; c < cells.size(); ++c) {
-      WCM_EXPECTS(cells[c].find_first_of(",\"\n") == std::string::npos,
-                  "CSV cell would need quoting");
       if (c) {
         os << ',';
       }
-      os << cells[c];
+      const std::string& cell = cells[c];
+      if (cell.find_first_of(",\"\r\n") == std::string::npos) {
+        os << cell;
+        continue;
+      }
+      os << '"';
+      for (const char ch : cell) {
+        os << ch;
+        if (ch == '"') {
+          os << '"';
+        }
+      }
+      os << '"';
     }
     os << '\n';
   };

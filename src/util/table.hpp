@@ -36,7 +36,8 @@ class Table {
   /// Pretty-print with aligned columns.
   void print(std::ostream& os) const;
 
-  /// Emit RFC-4180-ish CSV (no quoting needed for our content, checked).
+  /// Emit CSV: a cell holding a comma, double quote or line break is
+  /// wrapped in double quotes with inner quotes doubled (RFC 4180).
   void write_csv(std::ostream& os) const;
 
  private:

@@ -1,10 +1,8 @@
-// Tests for the slowdown statistics and the sweep runner.
+// Tests for the slowdown statistics.
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
-#include "analysis/experiment.hpp"
+#include "analysis/series.hpp"
 #include "util/check.hpp"
 
 namespace wcm::analysis {
@@ -48,40 +46,6 @@ TEST(CompareSeries, Contracts) {
   b = series({1.0, 2.0});
   b[1].n = 999;  // mismatched size grid
   EXPECT_THROW((void)compare_series(a, b), contract_error);
-}
-
-TEST(Sweep, RunsAndGrowsGeometrically) {
-  SweepSpec spec;
-  spec.device = gpusim::quadro_m4000();
-  spec.config = sort::SortConfig{5, 64, 32};
-  spec.input = workload::InputKind::random;
-  spec.min_k = 1;
-  spec.max_k = 3;
-  const auto s = run_sweep(spec);
-  ASSERT_EQ(s.size(), 3u);
-  EXPECT_EQ(s[0].n, spec.config.tile() * 2);
-  EXPECT_EQ(s[1].n, spec.config.tile() * 4);
-  EXPECT_EQ(s[2].n, spec.config.tile() * 8);
-  for (const auto& p : s) {
-    EXPECT_GT(p.throughput, 0.0);
-    EXPECT_GT(p.conflicts_per_elem, 0.0);
-    EXPECT_GE(p.beta2, 1.0);
-  }
-}
-
-TEST(Sweep, EnvOverrides) {
-  SweepSpec spec;
-  spec.min_k = 1;
-  spec.max_k = 8;
-  ASSERT_EQ(setenv("WCM_MIN_K", "2", 1), 0);
-  ASSERT_EQ(setenv("WCM_MAX_K", "3", 1), 0);
-  apply_env_overrides(spec);
-  EXPECT_EQ(spec.min_k, 2u);
-  EXPECT_EQ(spec.max_k, 3u);
-  ASSERT_EQ(setenv("WCM_MIN_K", "5", 1), 0);  // min > max must throw
-  EXPECT_THROW(apply_env_overrides(spec), contract_error);
-  unsetenv("WCM_MIN_K");
-  unsetenv("WCM_MAX_K");
 }
 
 }  // namespace

@@ -521,7 +521,7 @@ TEST_F(FaultInjectionTest, EveryRegisteredFailpointFired) {
           try {
             runtime::JournalWriter writer(jpath, 1, 1,
                                           runtime::JournalReplay{});
-            writer.append(1, runtime::CellMetrics{});
+            writer.append(1, analysis::SeriesPoint{});
           } catch (...) {
             std::filesystem::remove(jpath);
             throw;

@@ -6,9 +6,9 @@
 
 #include <cmath>
 
-#include "analysis/experiment.hpp"
 #include "core/conflict_model.hpp"
 #include "core/generator.hpp"
+#include "runtime/campaign.hpp"
 #include "sort/pairwise_sort.hpp"
 #include "workload/inputs.hpp"
 
@@ -92,19 +92,21 @@ TEST(Integration, SortedInputGentlerThanRandom) {
 // grow with N (logarithmically — each doubling adds one attacked round), and
 // the conflict curve predicts the runtime curve.
 TEST(Integration, ConflictsAndRuntimePerElementGrowWithN) {
-  analysis::SweepSpec spec;
+  runtime::SweepSpec spec;
   spec.device = gpusim::quadro_m4000();
   spec.config = sort::SortConfig{5, 64, 32};
   spec.input = workload::InputKind::worst_case;
   spec.min_k = 1;
   spec.max_k = 4;
-  const auto s = analysis::run_sweep(spec);
+  const auto s = runtime::run_sweeps({spec}).front();
   for (std::size_t i = 1; i < s.size(); ++i) {
-    EXPECT_GT(s[i].conflicts_per_elem, s[i - 1].conflicts_per_elem);
+    EXPECT_GT(s[i].conflicts_per_element(), s[i - 1].conflicts_per_element());
   }
   // Log growth: increments per doubling shrink or stay roughly constant.
-  const double inc1 = s[1].conflicts_per_elem - s[0].conflicts_per_elem;
-  const double inc3 = s[3].conflicts_per_elem - s[2].conflicts_per_elem;
+  const double inc1 =
+      s[1].conflicts_per_element() - s[0].conflicts_per_element();
+  const double inc3 =
+      s[3].conflicts_per_element() - s[2].conflicts_per_element();
   EXPECT_LT(std::abs(inc3 - inc1), 0.5 * inc1 + 0.2);
 }
 

@@ -246,7 +246,7 @@ class JournalCorruptTest : public ::testing::Test {
       runtime::JournalWriter writer(path_, kSalt, kFingerprint,
                                     runtime::JournalReplay{});
       for (int i = 0; i < records; ++i) {
-        runtime::CellMetrics m;
+        analysis::SeriesPoint m;
         m.n = 64u + static_cast<u64>(i);
         m.seconds = 0.25 * i;
         m.throughput = 100.0 + i;
@@ -418,7 +418,7 @@ TEST_F(JournalCorruptTest, WriterResumesPastATornTail) {
   ASSERT_TRUE(r.truncated);
   {
     runtime::JournalWriter writer(path_, kSalt, kFingerprint, r);
-    runtime::CellMetrics m;
+    analysis::SeriesPoint m;
     m.n = 999;
     writer.append(555, m);
   }
@@ -456,13 +456,13 @@ constexpr u64 kGoldenSalt = 0x5eed;
 constexpr u64 kGoldenFingerprint = 0xf00d;
 constexpr u64 kGoldenChain = 0x29ed52b407d3f68cULL;  // WCMJ's last seal
 
-runtime::CellMetrics cell(u64 n, double seconds, double throughput,
-                          double conflicts, double beta1, double beta2) {
-  runtime::CellMetrics m;
+analysis::SeriesPoint cell(u64 n, double seconds, double throughput,
+                           double conflicts, double beta1, double beta2) {
+  analysis::SeriesPoint m;
   m.n = n;
   m.seconds = seconds;
   m.throughput = throughput;
-  m.conflicts_per_element = conflicts;
+  m.conflicts_per_elem = conflicts;
   m.beta1 = beta1;
   m.beta2 = beta2;
   return m;
@@ -470,7 +470,7 @@ runtime::CellMetrics cell(u64 n, double seconds, double throughput,
 
 const std::vector<word> kWcmiV1Keys{4, 2, 0, 3, 1};
 const std::vector<word> kWcmiV2Keys{3, 1, 2, 0, -5, 2147483647, -2147483648LL};
-const std::vector<std::pair<u64, runtime::CellMetrics>> kWcmcEntries{
+const std::vector<std::pair<u64, analysis::SeriesPoint>> kWcmcEntries{
     {0x0123456789abcdefULL, cell(64, 0.25, 256.0, 1.5, 2.0, 3.5)},
     {42, cell(4096, 1e-3, 4.096e6, 0.0, 1.0, 1.0)},
     {7, cell(128, 0.5, 256.0, 31.0 / 32.0, 16.0, 17.25)}};
@@ -481,7 +481,7 @@ struct WcmsEntry {
 };
 const std::vector<WcmsEntry> kWcmsEntries{
     {"alpha", 11, R"({"a":1})"}, {"alpha", 3, "x"}, {"beta", 5, R"({"b":[1,2]})"}};
-const std::vector<std::pair<u64, runtime::CellMetrics>> kWcmjRecords{
+const std::vector<std::pair<u64, analysis::SeriesPoint>> kWcmjRecords{
     {100, cell(64, 0.25, 256.0, 1.5, 2.0, 3.5)},
     {101, cell(65, 0.5, 130.0, 0.0, 1.0, 1.0)},
     {102, cell(66, 0.75, 88.0, 2.25, 4.0, 8.5)}};

@@ -34,12 +34,12 @@ class CacheFile : public ::testing::Test {
   std::filesystem::path path_;
 };
 
-CellMetrics metrics(u64 n, double seconds) {
-  CellMetrics m;
+analysis::SeriesPoint metrics(u64 n, double seconds) {
+  analysis::SeriesPoint m;
   m.n = n;
   m.seconds = seconds;
   m.throughput = static_cast<double>(n) / seconds;
-  m.conflicts_per_element = 0.5;
+  m.conflicts_per_elem = 0.5;
   m.beta1 = 1.5;
   m.beta2 = 2.5;
   return m;

@@ -1,7 +1,7 @@
 // Campaign-layer tests: spec parsing and validation, deterministic
 // expansion with position-independent seeds, byte-identical output across
 // thread counts and cache states, WCMC integration (hit/miss/invalidate),
-// and the run_sweeps equivalence with the serial analysis::run_sweep.
+// and the figure benches' run_sweeps against direct sorts.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include <iterator>
 #include <string>
 
-#include "analysis/experiment.hpp"
 #include "runtime/campaign.hpp"
 #include "runtime/scheduler.hpp"
 #include "telemetry/registry.hpp"
@@ -551,8 +550,10 @@ TEST(CampaignFaults, FailFastRethrowsTheCellErrorOverAFailedStore) {
   EXPECT_FALSE(std::filesystem::exists(cache_path));
 }
 
-TEST(RunSweeps, MatchesTheSerialSweepExactly) {
-  analysis::SweepSpec spec;
+// Every cell of run_sweeps is the direct sort of its own input (seed + k,
+// n = tile << k), whatever the worker count.
+TEST(RunSweeps, EachCellIsTheDirectSortAtAnyThreadCount) {
+  SweepSpec spec;
   spec.device = gpusim::quadro_m4000();
   spec.config = sort::SortConfig{5, 64, 32};
   spec.input = workload::InputKind::worst_case;
@@ -560,19 +561,48 @@ TEST(RunSweeps, MatchesTheSerialSweepExactly) {
   spec.max_k = 3;
   spec.seed = 21;
 
-  const auto serial = analysis::run_sweep(spec);
-  const auto parallel = run_sweeps({spec, spec}, 4);
-  ASSERT_EQ(parallel.size(), 2u);
-  for (const auto& series : parallel) {
-    ASSERT_EQ(series.size(), serial.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(series[i].n, serial[i].n);
-      EXPECT_EQ(series[i].throughput, serial[i].throughput);
-      EXPECT_EQ(series[i].seconds, serial[i].seconds);
-      EXPECT_EQ(series[i].conflicts_per_elem, serial[i].conflicts_per_elem);
-      EXPECT_EQ(series[i].beta2, serial[i].beta2);
+  for (const u32 threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const auto sweeps = run_sweeps({spec, spec}, threads);
+    ASSERT_EQ(sweeps.size(), 2u);
+    for (const auto& sweep : sweeps) {
+      ASSERT_EQ(sweep.size(), 3u);
+      for (u32 k = spec.min_k; k <= spec.max_k; ++k) {
+        const auto& cell = sweep[k - spec.min_k];
+        const auto direct = sort::pairwise_merge_sort(
+            workload::make_input(spec.input, spec.config.tile() << k,
+                                 spec.config, spec.seed + k),
+            spec.config, spec.device, spec.library);
+        EXPECT_EQ(cell.seconds(), direct.seconds());
+        EXPECT_EQ(cell.conflicts_per_element(),
+                  direct.conflicts_per_element());
+        EXPECT_EQ(cell.beta2(), direct.beta2());
+        EXPECT_EQ(cell.totals, direct.totals);
+
+        const auto p = analysis::point_of(cell);
+        EXPECT_EQ(p.n, spec.config.tile() << k);
+        EXPECT_GT(p.throughput, 0.0);
+        EXPECT_GT(p.conflicts_per_elem, 0.0);
+        EXPECT_EQ(p.beta1, cell.beta1());
+        EXPECT_GE(p.beta2, 1.0);
+      }
     }
   }
+}
+
+TEST(Sweep, EnvOverrides) {
+  SweepSpec spec;
+  spec.min_k = 1;
+  spec.max_k = 8;
+  ASSERT_EQ(setenv("WCM_MIN_K", "2", 1), 0);
+  ASSERT_EQ(setenv("WCM_MAX_K", "3", 1), 0);
+  apply_env_overrides(spec);
+  EXPECT_EQ(spec.min_k, 2u);
+  EXPECT_EQ(spec.max_k, 3u);
+  ASSERT_EQ(setenv("WCM_MIN_K", "5", 1), 0);  // min > max must throw
+  EXPECT_THROW(apply_env_overrides(spec), contract_error);
+  unsetenv("WCM_MIN_K");
+  unsetenv("WCM_MAX_K");
 }
 
 }  // namespace

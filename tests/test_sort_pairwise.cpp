@@ -1,10 +1,12 @@
 // Tests for the full simulated pairwise merge sort: functional correctness
 // against the CPU references (including the exact same merge tree), report
-// integrity, stats invariants, and non-power-of-two run counts.
+// integrity, stats invariants, non-power-of-two run counts, and re-costing
+// one run for another library.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "sort/cpu_reference.hpp"
 #include "sort/pairwise_sort.hpp"
@@ -120,6 +122,40 @@ TEST(PairwiseSort, MgpuSlowerThanThrustSameInput) {
   EXPECT_GT(mgpu.seconds(), thrust.seconds());
   // Same algorithm: identical conflict counts, different modeled time.
   EXPECT_EQ(mgpu.totals.shared.replays, thrust.totals.shared.replays);
+}
+
+// Figure 5 prices its Modern GPU curves by re-costing each Thrust run, so
+// the re-cost must equal a direct Modern GPU sort of the same input bit for
+// bit, round by round.
+TEST(PairwiseSort, RecostForMgpuEqualsADirectMgpuSort) {
+  const auto dev = gpusim::rtx_2080ti();
+  for (const SortConfig& cfg : {params_15_512(), params_17_256()}) {
+    for (const auto kind :
+         {workload::InputKind::random, workload::InputKind::worst_case}) {
+      for (u32 k = 1; k <= 3; ++k) {
+        SCOPED_TRACE(cfg.to_string() + " " + workload::to_string(kind) +
+                     " k=" + std::to_string(k));
+        const auto input =
+            workload::make_input(kind, cfg.tile() << k, cfg, 1 + k);
+        const auto recosted =
+            recost(pairwise_merge_sort(input, cfg, dev,
+                                       MergeSortLibrary::thrust),
+                   dev, MergeSortLibrary::mgpu);
+        const auto direct =
+            pairwise_merge_sort(input, cfg, dev, MergeSortLibrary::mgpu);
+        EXPECT_EQ(recosted.seconds(), direct.seconds());
+        EXPECT_EQ(recosted.conflicts_per_element(),
+                  direct.conflicts_per_element());
+        EXPECT_EQ(recosted.beta2(), direct.beta2());
+        ASSERT_EQ(recosted.rounds.size(), direct.rounds.size());
+        for (std::size_t r = 0; r < direct.rounds.size(); ++r) {
+          EXPECT_EQ(recosted.rounds[r].modeled_seconds,
+                    direct.rounds[r].modeled_seconds)
+              << direct.rounds[r].name;
+        }
+      }
+    }
+  }
 }
 
 TEST(PairwiseSort, AlreadySortedInputStillSorts) {

@@ -39,11 +39,12 @@ TEST(Table, CsvOutput) {
   EXPECT_EQ(os.str(), "n,v\n1,2\n3,4\n");
 }
 
-TEST(Table, CsvRejectsCellsNeedingQuotes) {
-  Table t({"v"});
-  t.new_row().add("has,comma");
+TEST(Table, CsvQuotesCellsPerRfc4180) {
+  Table t({"n(15,512)", "v"});
+  t.new_row().add("has,comma").add("say \"hi\"");
   std::ostringstream os;
-  EXPECT_THROW(t.write_csv(os), contract_error);
+  t.write_csv(os);
+  EXPECT_EQ(os.str(), "\"n(15,512)\",v\n\"has,comma\",\"say \"\"hi\"\"\"\n");
 }
 
 TEST(Table, PrintAlignsColumns) {

@@ -4,7 +4,8 @@
 # `wcmgen analyze` to report zero diagnostics (races, bounds, uninitialized
 # reads, and stride-prediction divergence are all errors).  A seeded-race
 # fixture must exit 1, a corrupt stream must exit 3 and an xor layout over
-# a non-power-of-two warp must exit 4, proving the gate can actually fail.
+# a non-power-of-two warp must exit 4 (with nothing on stdout), proving the
+# gate can actually fail.
 #
 # Run as:  cmake -DWCMGEN=<bin> -DWORKDIR=<dir> -P wcmlint_ci.cmake
 
@@ -24,6 +25,7 @@ function(expect_exit code)
       "expected exit ${code}, got '${rv}' for: ${ARGN}\n"
       "stdout: ${out}\nstderr: ${err}")
   endif()
+  set(last_stdout "${out}" PARENT_SCOPE)
 endfunction()
 
 # Record one engine's trace and lint it clean (exit 0), unpadded and with
@@ -78,9 +80,14 @@ lint_clean(blocksort --E 5 --b 64 --k 0 --input random --seed 9)
 
 # A w = 3 trace in which logical words 5 and 8 share a physical word under
 # xor: the layout is refused (exit 4), not priced as a broadcast, while
-# rotation is valid at any width.
+# rotation is valid at any width.  The refusal leaves --json's stdout
+# empty, not a partial array.
 file(WRITE ${WORKDIR}/w3.wcmt "WCMT2 3 9 2\nF 0 9\nR 0:5 1:8\n")
 expect_exit(4 ${WCMGEN} analyze --layout xor ${WORKDIR}/w3.wcmt)
+expect_exit(4 ${WCMGEN} analyze --json --layout xor ${WORKDIR}/w3.wcmt)
+if(NOT last_stdout STREQUAL "")
+  message(FATAL_ERROR "analyze --json wrote '${last_stdout}' before failing")
+endif()
 expect_exit(0 ${WCMGEN} analyze --layout rotation ${WORKDIR}/w3.wcmt)
 file(REMOVE ${WORKDIR}/w3.wcmt)
 
