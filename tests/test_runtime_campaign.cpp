@@ -550,9 +550,9 @@ TEST(CampaignFaults, FailFastRethrowsTheCellErrorOverAFailedStore) {
   EXPECT_FALSE(std::filesystem::exists(cache_path));
 }
 
-// Every cell of run_sweeps is the direct sort of its own input (seed + k,
-// n = tile << k), whatever the worker count.
-TEST(RunSweeps, EachCellIsTheDirectSortAtAnyThreadCount) {
+// Every cell of run_sweeps is the serial, direct sort of its own input
+// (seed + k, n = tile << k), whatever the worker count.
+TEST(RunSweeps, MatchesTheSerialSweepExactly) {
   SweepSpec spec;
   spec.device = gpusim::quadro_m4000();
   spec.config = sort::SortConfig{5, 64, 32};
@@ -578,15 +578,32 @@ TEST(RunSweeps, EachCellIsTheDirectSortAtAnyThreadCount) {
                   direct.conflicts_per_element());
         EXPECT_EQ(cell.beta2(), direct.beta2());
         EXPECT_EQ(cell.totals, direct.totals);
-
-        const auto p = analysis::point_of(cell);
-        EXPECT_EQ(p.n, spec.config.tile() << k);
-        EXPECT_GT(p.throughput, 0.0);
-        EXPECT_GT(p.conflicts_per_elem, 0.0);
-        EXPECT_EQ(p.beta1, cell.beta1());
-        EXPECT_GE(p.beta2, 1.0);
       }
     }
+  }
+}
+
+TEST(Sweep, RunsAndGrowsGeometrically) {
+  SweepSpec spec;
+  spec.device = gpusim::quadro_m4000();
+  spec.config = sort::SortConfig{5, 64, 32};
+  spec.input = workload::InputKind::random;
+  spec.min_k = 1;
+  spec.max_k = 3;
+  const auto sweeps = run_sweeps({spec}, 1);
+  ASSERT_EQ(sweeps.size(), 1u);
+  const auto& s = sweeps[0];
+  ASSERT_EQ(s.size(), 3u);
+  EXPECT_EQ(s[0].n, spec.config.tile() * 2);
+  EXPECT_EQ(s[1].n, spec.config.tile() * 4);
+  EXPECT_EQ(s[2].n, spec.config.tile() * 8);
+  for (const auto& cell : s) {
+    const auto p = analysis::point_of(cell);
+    EXPECT_EQ(p.n, cell.n);
+    EXPECT_GT(p.throughput, 0.0);
+    EXPECT_GT(p.conflicts_per_elem, 0.0);
+    EXPECT_EQ(p.beta1, cell.beta1());
+    EXPECT_GE(p.beta2, 1.0);
   }
 }
 
